@@ -9,9 +9,9 @@
 //   --threads N      size the runtime thread pool (default 1;
 //                    0 = hardware concurrency)
 //   --backend NAME   simulation backend for batched fault simulation
-//                    (scalar | bitpar | faultpar, plus avx2/avx512 on hosts
-//                    whose CPU supports them; default = the widest
-//                    registered test-parallel backend — all backends emit
+//                    (scalar | bitpar, plus avx2/avx512 on hosts whose
+//                    CPU supports them; default = the widest registered
+//                    packed backend — all backends emit
 //                    bit-identical results, see DESIGN.md §11)
 //   --metrics        dump the runtime metrics registry to stderr at exit
 //   --metrics-json F write a machine-readable run manifest (JSON) to F

@@ -3,11 +3,6 @@
 // and batched fault simulation.
 //
 // Special modes:
-//   micro_engines compiled-vs-legacy [--circuit NAME] [--csv]
-// times robust (triple) simulation through the legacy Netlist walker against
-// the flattened CompiledCircuit path on NAME (default: the largest registry
-// circuit), verifies the two produce bit-identical values on every line, and
-// reports the speedup.
 //   micro_engines threads [--circuit NAME] [--backend NAME] [--csv] [--metrics]
 // thread-scaling sweep: runs BatchSimulator::detection_matrix on NAME
 // at 1, 2, 4 and 8 pool threads, verifies every matrix is bit-identical to
@@ -95,21 +90,6 @@ const TargetSets& targets() {
   }();
   return ts;
 }
-
-void BM_FullTripleSim(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  Rng rng(1);
-  std::vector<Triple> pis(nl.inputs().size());
-  for (auto& t : pis) {
-    t = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                  rng.coin() ? V3::One : V3::Zero);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate(nl, pis));
-  }
-  state.SetItemsProcessed(state.iterations() * nl.node_count());
-}
-BENCHMARK(BM_FullTripleSim);
 
 void BM_CompiledTripleSim(benchmark::State& state) {
   const Netlist& nl = circuit();
@@ -221,7 +201,7 @@ BENCHMARK(BM_FaultSimBitPar64);
 
 void BM_FaultSimScalar64(benchmark::State& state) {
   const Netlist& nl = circuit();
-  FaultSimulator fsim(nl);
+  BatchSimulator fsim(nl, &sim::scalar_backend());
   Rng rng(5);
   std::vector<TwoPatternTest> tests(64);
   for (auto& t : tests) {
@@ -238,7 +218,7 @@ void BM_FaultSimScalar64(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSimScalar64);
 
-// ---- compiled-vs-legacy comparison mode ------------------------------------
+// ---- shared timing helper ---------------------------------------------------
 
 double measure_ms(const std::function<void()>& fn, int rounds) {
   using clock = std::chrono::steady_clock;
@@ -251,77 +231,6 @@ double measure_ms(const std::function<void()>& fn, int rounds) {
                     std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
   return best;
-}
-
-int run_compiled_vs_legacy(const std::string& name, bool csv) {
-  if (!has_benchmark(name)) {
-    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
-                 name.c_str());
-    return 2;
-  }
-  const Netlist nl = benchmark_circuit(name);
-  const CompiledCircuit cc(nl);
-  SimScratch scratch;
-
-  // A batch of random fully specified two-pattern tests.
-  constexpr std::size_t kTests = 64;
-  Rng rng(12345);
-  std::vector<std::vector<Triple>> tests(kTests);
-  for (auto& pis : tests) {
-    pis.resize(nl.inputs().size());
-    for (auto& t : pis) {
-      t = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                    rng.coin() ? V3::One : V3::Zero);
-    }
-  }
-
-  // Bit-identicality first: every line, every test.
-  for (const auto& pis : tests) {
-    const auto legacy = simulate(nl, pis);
-    const auto compiled = simulate(cc, pis, scratch);
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-      if (!(compiled[id] == legacy[id])) {
-        std::fprintf(stderr, "MISMATCH on %s node %u\n", name.c_str(), id);
-        return 1;
-      }
-    }
-  }
-
-  // Scale the inner repeat count to the circuit so one round is ~measurable.
-  const int repeats =
-      static_cast<int>(std::max<std::size_t>(1, 2'000'000 / nl.node_count()));
-  const int rounds = 7;
-
-  const double legacy_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          benchmark::DoNotOptimize(simulate(nl, tests[r % kTests]));
-        }
-      },
-      rounds);
-  const double compiled_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          benchmark::DoNotOptimize(simulate(cc, tests[r % kTests], scratch));
-        }
-      },
-      rounds);
-
-  const double speedup = legacy_ms / compiled_ms;
-  std::printf("== compiled-vs-legacy robust simulation ==\n");
-  std::printf("circuit: %s (%zu nodes, %zu inputs, depth %d)\n", name.c_str(),
-              nl.node_count(), nl.inputs().size(), cc.depth());
-  std::printf("repeats per round: %d, rounds (best-of): %d\n", repeats, rounds);
-  std::printf("legacy:   %10.3f ms\n", legacy_ms);
-  std::printf("compiled: %10.3f ms\n", compiled_ms);
-  std::printf("speedup:  %10.2fx (bit-identical on all %zu lines)\n", speedup,
-              nl.node_count());
-  if (csv) {
-    std::printf("\ncsv:\ncircuit,nodes,repeats,legacy_ms,compiled_ms,speedup\n");
-    std::printf("%s,%zu,%d,%.4f,%.4f,%.3f\n", name.c_str(), nl.node_count(),
-                repeats, legacy_ms, compiled_ms, speedup);
-  }
-  return 0;
 }
 
 // ---- thread-scaling mode ---------------------------------------------------
@@ -933,7 +842,6 @@ int run_serve_mode(const std::string& name, const std::string& dir, bool csv,
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool compare = false;
   bool thread_scaling = false;
   bool store_mode = false;
   bool obs_mode = false;
@@ -946,11 +854,9 @@ int main(int argc, char** argv) {
   std::string metrics_json;
   std::string bench_json;
   for (int i = 1; i < argc; ++i) {
-    const bool any_mode = compare || thread_scaling || store_mode ||
-                          obs_mode || backend_mode || serve_mode;
-    if (std::strcmp(argv[i], "compiled-vs-legacy") == 0) {
-      compare = true;
-    } else if (std::strcmp(argv[i], "threads") == 0 && !any_mode) {
+    const bool any_mode = thread_scaling || store_mode || obs_mode ||
+                          backend_mode || serve_mode;
+    if (std::strcmp(argv[i], "threads") == 0 && !any_mode) {
       thread_scaling = true;
     } else if (std::strcmp(argv[i], "store") == 0 && !any_mode) {
       store_mode = true;
@@ -991,7 +897,6 @@ int main(int argc, char** argv) {
       circuit_name = argv[++i];
     }
   }
-  if (compare) return run_compiled_vs_legacy(circuit_name, csv);
   if (thread_scaling) return run_thread_scaling(circuit_name, csv, metrics);
   if (store_mode) return run_store_mode(circuit_name, store_dir, csv, metrics);
   if (obs_mode) return run_obs_mode(circuit_name, csv);

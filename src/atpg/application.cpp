@@ -7,7 +7,7 @@
 namespace pdf {
 
 TestApplicationAnalyzer::TestApplicationAnalyzer(const CombinationalCircuit& cc)
-    : nl_(&cc.netlist) {
+    : nl_(&cc.netlist), compiled_(cc.netlist) {
   if (cc.pseudo_inputs.size() != cc.pseudo_outputs.size()) {
     throw std::invalid_argument(
         "TestApplicationAnalyzer: pseudo input/output count mismatch");
@@ -37,7 +37,8 @@ bool TestApplicationAnalyzer::broadside_compatible(
   // Next state under the first pattern.
   std::vector<V3> v1(nl_->inputs().size());
   for (std::size_t i = 0; i < v1.size(); ++i) v1[i] = test.pi_values[i].a1;
-  const std::vector<V3> values = simulate_plane(*nl_, v1);
+  SimScratch scratch;
+  const std::span<const V3> values = simulate_plane(compiled_, v1, scratch);
 
   for (std::size_t k = 0; k < state_pi_index_.size(); ++k) {
     const V3 produced = values[data_node_[k]];

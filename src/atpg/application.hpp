@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "atpg/test_pattern.hpp"
+#include "core/compiled_circuit.hpp"
 #include "netlist/combinational.hpp"
 
 namespace pdf {
@@ -48,6 +49,7 @@ class TestApplicationAnalyzer {
 
  private:
   const Netlist* nl_;
+  CompiledCircuit compiled_;  // of *nl_, built once for the broadside sims
   /// Parallel arrays: state element k reads next-state from data_node_[k]
   /// and appears as PI index state_pi_index_[k].
   std::vector<NodeId> data_node_;

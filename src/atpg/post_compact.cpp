@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "faultsim/fault_sim.hpp"
+#include "faultsim/batch_sim.hpp"
 
 namespace pdf {
 
@@ -10,32 +10,27 @@ PostCompactionResult post_compact(const Netlist& nl,
                                   std::span<const TwoPatternTest> tests,
                                   std::span<const TargetFault> p0,
                                   std::span<const TargetFault> p1) {
-  FaultSimulator fsim(nl);
+  // One detection matrix over the concatenated fault list: row f is the set
+  // of tests detecting fault f.
+  std::vector<TargetFault> faults(p0.begin(), p0.end());
+  faults.insert(faults.end(), p1.begin(), p1.end());
+  const DetectionMatrix detects =
+      BatchSimulator(nl).detection_matrix(tests, faults);
 
-  // Detection matrix, one row per test over the concatenated fault list.
-  const std::size_t n_faults = p0.size() + p1.size();
-  std::vector<std::vector<bool>> detects(tests.size());
-  for (std::size_t t = 0; t < tests.size(); ++t) {
-    std::vector<bool> row = fsim.detects(tests[t], p0);
-    const std::vector<bool> row1 = fsim.detects(tests[t], p1);
-    row.insert(row.end(), row1.begin(), row1.end());
-    detects[t] = std::move(row);
-  }
-
-  std::vector<bool> covered(n_faults, false);
+  std::vector<bool> covered(faults.size(), false);
   std::vector<std::size_t> kept;
   for (std::size_t rt = tests.size(); rt-- > 0;) {
     bool useful = false;
-    for (std::size_t f = 0; f < n_faults; ++f) {
-      if (detects[rt][f] && !covered[f]) {
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (detects.bit(f, rt) && !covered[f]) {
         useful = true;
         break;
       }
     }
     if (!useful) continue;
     kept.push_back(rt);
-    for (std::size_t f = 0; f < n_faults; ++f) {
-      if (detects[rt][f]) covered[f] = true;
+    for (std::size_t f = 0; f < faults.size(); ++f) {
+      if (detects.bit(f, rt)) covered[f] = true;
     }
   }
   std::reverse(kept.begin(), kept.end());

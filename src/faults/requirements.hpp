@@ -39,6 +39,17 @@ struct ValueRequirement {
   friend bool operator==(const ValueRequirement&, const ValueRequirement&) = default;
 };
 
+/// The robust detection predicate (§2.1): the simulated line triples
+/// `values` (one per node) satisfy `reqs` when every required line's triple
+/// covers the required value. Every scalar detection check goes through here.
+inline bool satisfied(std::span<const Triple> values,
+                      std::span<const ValueRequirement> reqs) {
+  for (const ValueRequirement& r : reqs) {
+    if (!values[r.line].covers(r.value)) return false;
+  }
+  return true;
+}
+
 /// A set of line-value requirements with merge-on-add semantics.
 class RequirementSet {
  public:

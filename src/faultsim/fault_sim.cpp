@@ -42,14 +42,6 @@ void FaultSimulator::line_values(const TwoPatternTest& test,
   out.assign(values.begin(), values.end());
 }
 
-bool FaultSimulator::satisfied(std::span<const Triple> values,
-                               std::span<const ValueRequirement> reqs) {
-  for (const auto& r : reqs) {
-    if (!values[r.line].covers(r.value)) return false;
-  }
-  return true;
-}
-
 std::vector<bool> FaultSimulator::detects(
     const TwoPatternTest& test, std::span<const TargetFault> faults) const {
   const std::span<const Triple> values = simulate_test(test, state_.local());
@@ -63,20 +55,6 @@ std::vector<bool> FaultSimulator::detects(
 bool FaultSimulator::detects(const TwoPatternTest& test,
                              const TargetFault& fault) const {
   return satisfied(simulate_test(test, state_.local()), fault.requirements);
-}
-
-std::vector<bool> FaultSimulator::detects_any(
-    std::span<const TwoPatternTest> tests,
-    std::span<const TargetFault> faults) const {
-  ThreadState& st = state_.local();
-  std::vector<bool> out(faults.size(), false);
-  for (const auto& t : tests) {
-    const std::span<const Triple> values = simulate_test(t, st);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
-      if (!out[i] && satisfied(values, faults[i].requirements)) out[i] = true;
-    }
-  }
-  return out;
 }
 
 }  // namespace pdf

@@ -10,8 +10,9 @@
 // Simulation runs on the compiled execution core into a reusable scratch
 // arena, and the triples of the most recently simulated test are memoized:
 // a sequence of single-fault `detects(test, fault)` queries against the same
-// test costs one simulation total, and the batched entry points cost exactly
-// one simulation per test.
+// test costs one simulation total. Whole test sets go through
+// BatchSimulator instead; this engine answers per-test queries (the ATPG
+// inner loop).
 //
 // The memo is per worker thread (runtime::PerWorker), so one simulator
 // instance may be shared by the caller and the runtime pool's workers: each
@@ -54,11 +55,6 @@ class FaultSimulator {
     return satisfied(line_values, fault.requirements);
   }
 
-  /// Simulates a whole test set against a fault list, OR-accumulating
-  /// detections (one simulation per test). Returns per-fault detection flags.
-  std::vector<bool> detects_any(std::span<const TwoPatternTest> tests,
-                                std::span<const TargetFault> faults) const;
-
   /// Line triples produced by a test (exposes the underlying simulation).
   std::vector<Triple> line_values(const TwoPatternTest& test) const;
 
@@ -75,9 +71,6 @@ class FaultSimulator {
     std::vector<Triple> pi_buf;  // normalized PI triples of the memo
     bool memo_valid = false;
   };
-
-  static bool satisfied(std::span<const Triple> values,
-                        std::span<const ValueRequirement> reqs);
 
   /// One compiled simulation of `test`, memoized on the test's PI triples.
   std::span<const Triple> simulate_test(const TwoPatternTest& test,

@@ -50,11 +50,15 @@ EquivalenceResult check_equivalence(const Netlist& a, const Netlist& b,
   const std::size_t n = a.inputs().size();
 
   EquivalenceResult result;
+  const CompiledCircuit ca(a);
+  const CompiledCircuit cb(b);
+  SimScratch sa;
+  SimScratch sb;
+  std::vector<V3> vb(n);
   auto try_vector = [&](const std::vector<V3>& va) -> bool {
-    std::vector<V3> vb(n);
     for (std::size_t i = 0; i < n; ++i) vb[input_map[i]] = va[i];
-    const auto ra = simulate_plane(a, va);
-    const auto rb = simulate_plane(b, vb);
+    const std::span<const V3> ra = simulate_plane(ca, va, sa);
+    const std::span<const V3> rb = simulate_plane(cb, vb, sb);
     for (const auto& [oa, ob] : outputs) {
       if (ra[oa] != rb[ob]) {
         result.equivalent = false;

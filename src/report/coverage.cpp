@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 
 namespace pdf {
 namespace {
@@ -35,15 +34,8 @@ CoverageBreakdown build(std::span<const TargetFault> faults,
 CoverageBreakdown coverage_by_length(const Netlist& nl,
                                      std::span<const TwoPatternTest> tests,
                                      std::span<const TargetFault> faults) {
-  // The batched backends need a combinational netlist; sequential circuits
-  // take the per-test scalar path (identical results).
-  if (!nl.has_sequential()) {
-    BatchSimulator fsim(nl);
-    return coverage_by_length(faults, fsim.detection_matrix(tests, faults));
-  }
-  FaultSimulator fsim(nl);
-  const std::vector<bool> det = fsim.detects_any(tests, faults);
-  return coverage_by_length(faults, det);
+  return coverage_by_length(faults,
+                            BatchSimulator(nl).detection_matrix(tests, faults));
 }
 
 CoverageBreakdown coverage_by_length(std::span<const TargetFault> faults,

@@ -39,10 +39,10 @@ struct CoverageBreakdown {
   }
 };
 
-/// Buckets `faults` by path length and counts which are detected by `tests`.
-/// Combinational netlists simulate through the pattern-parallel simulator
-/// (and thus the runtime thread pool); sequential ones fall back to the
-/// scalar simulator. Results are identical either way.
+/// Buckets `faults` by path length and counts which are detected by `tests`,
+/// simulated through BatchSimulator (and thus the runtime thread pool). The
+/// netlist must be combinational: a sequential one throws std::logic_error
+/// (extract the combinational core first, netlist/combinational.hpp).
 CoverageBreakdown coverage_by_length(const Netlist& nl,
                                      std::span<const TwoPatternTest> tests,
                                      std::span<const TargetFault> faults);

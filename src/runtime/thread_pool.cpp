@@ -1,5 +1,6 @@
 #include "runtime/thread_pool.hpp"
 
+#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -154,6 +155,11 @@ void ThreadPool::work(std::size_t self) {
     }
   }
   --t_task_depth;
+}
+
+std::size_t ThreadPool::concurrency(std::size_t chunks) const {
+  const bool inline_run = workers_.empty() || t_task_depth > 0;
+  return std::min(chunks, inline_run ? std::size_t{1} : thread_count());
 }
 
 void ThreadPool::parallel_for(

@@ -96,6 +96,12 @@ class ThreadPool {
   void parallel_for(std::size_t n, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
+  /// The most body calls a parallel_for over `chunks` chunks, issued from
+  /// the calling thread right now, can run at once: 1 on the inline paths
+  /// (no workers, a single chunk, or nested inside a pool task), else
+  /// min(chunks, thread_count()). Sizes per-call task arenas.
+  std::size_t concurrency(std::size_t chunks) const;
+
   /// Deterministic map/reduce: `map(begin, end)` produces one T per chunk;
   /// the per-chunk results are joined *in chunk order*, so the value is
   /// independent of the thread count even for non-associative joins.

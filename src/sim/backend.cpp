@@ -12,13 +12,12 @@ namespace {
 // This TU is compiled with baseline ISA flags. The avx2/avx512 accessors
 // live in TUs compiled with -mavx2/-mavx512f, so they are called — and
 // their singletons constructed — only after the cpuid probe says the host
-// can execute that code. Registration order is stable (scalar, bitpar,
-// faultpar, then ascending width) so diagnostics and test parameterization
-// are deterministic per host+PDF_SIMD.
+// can execute that code. Registration order is stable (scalar, bitpar, then
+// ascending width) so diagnostics and test parameterization are
+// deterministic per host+PDF_SIMD.
 const std::vector<SimBackend*>& registry() {
   static const std::vector<SimBackend*> backends = [] {
-    std::vector<SimBackend*> v = {&scalar_backend(), &bitpar_backend(),
-                                  &faultpar_backend()};
+    std::vector<SimBackend*> v = {&scalar_backend(), &bitpar_backend()};
     const SimdLevel level = simd_level();
     if (level >= SimdLevel::kAvx2) v.push_back(&avx2_backend());
     if (level >= SimdLevel::kAvx512) v.push_back(&avx512_backend());
@@ -27,21 +26,13 @@ const std::vector<SimBackend*>& registry() {
   return backends;
 }
 
-// The default is the widest registered test-parallel backend: every backend
-// is bit-identical (enforced by pdf_check and test_backend), so the only
-// difference is throughput, and wider wins on the batched workloads behind
-// BatchSimulator. faultpar is never the default — it trades memory for
-// fault-axis parallelism and only pays off on particular shapes; opting
-// into it (or down to scalar/bitpar) is the explicit move.
+// The default is the widest registered backend (registration order ascends
+// in width): every backend is bit-identical (enforced by pdf_check and
+// test_backend), so the only difference is throughput, and wider wins on the
+// batched workloads behind BatchSimulator. Opting down to scalar or bitpar
+// is the explicit move.
 SimBackend*& selected_slot() {
-  static SimBackend* selected = [] {
-    SimBackend* widest = &bitpar_backend();
-    for (SimBackend* b : registry()) {
-      if (b == &faultpar_backend() || b == &scalar_backend()) continue;
-      if (b->lanes() > widest->lanes()) widest = b;
-    }
-    return widest;
-  }();
+  static SimBackend* selected = registry().back();
   return selected;
 }
 

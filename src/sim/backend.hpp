@@ -14,10 +14,13 @@
 //     for the same (circuit, tests, faults) — independent of backend choice
 //     and of the runtime thread count. pdf_check's `backends_agree` check
 //     and tests/test_backend.cpp enforce this continuously.
-//   * Memory: backends own reusable per-worker scratch arenas; steady-state
-//     batched queries perform no per-call heap allocation (observable via
-//     the `sim.<name>.scratch_grows` counters; asserted by the
-//     `micro_engines backends` mode).
+//   * Memory: each calling thread's slot owns one scratch arena per column
+//     task its calls can run concurrently (runtime::TaskArenas, sized on the
+//     calling thread before the parallel phase), so after one warm-up call
+//     of a given batch shape, further calls of that shape perform no heap
+//     allocation whatever the schedule (observable via the
+//     `sim.<name>.scratch_grows` counters; asserted by the
+//     `micro_engines backends` mode and the BatchSim.ZeroAllocation test).
 //
 // Backends are stateless singletons apart from their scratch arenas (which
 // follow the runtime::PerWorker sharing contract: one external thread plus
@@ -29,7 +32,7 @@
 // tests/word, avx512: 512 tests/word) are always compiled in — their TUs
 // carry the matching -m flags — but only appear in all_backends() when the
 // host CPU supports the ISA (sim/cpu_features.hpp; cap with PDF_SIMD). The
-// default selection is the widest registered test-parallel backend, so a
+// default selection is the widest registered packed backend, so a
 // rebuilt binary automatically uses the fastest safe engine on each host.
 #pragma once
 
@@ -58,8 +61,8 @@ class SimBackend {
   /// (callers fall back to another backend or to FaultSimulator).
   virtual bool supports(const CompiledCircuit& cc) const = 0;
 
-  /// Tests simulated per packed word (1 scalar, 64 bitpar/faultpar, 256
-  /// avx2, 512 avx512). Purely informational — result bytes never depend on
+  /// Tests simulated per packed word (1 scalar, 64 bitpar, 256 avx2, 512
+  /// avx512). Purely informational — result bytes never depend on
   /// it — but benches and reports use it for per-width labeling.
   virtual std::size_t lanes() const { return 1; }
 
@@ -93,11 +96,6 @@ SimBackend& scalar_backend();
 /// The bit-parallel backend: 64 tests per word, 2-bit-plane {0,1,x} encoding.
 SimBackend& bitpar_backend();
 
-/// The fault-parallel variant of bitpar: simulates all 64-test word columns
-/// first (shared plane buffer), then parallelizes across faults — fills the
-/// pool when faults vastly outnumber word columns. Always registered.
-SimBackend& faultpar_backend();
-
 /// The 256-tests/word AVX2 instantiation of the wide kernel. The accessor's
 /// TU is compiled with -mavx2: call only when simd_level() >= kAvx2 (the
 /// registry does; everyone else should go through find_backend()).
@@ -107,8 +105,8 @@ SimBackend& avx2_backend();
 /// call only when simd_level() >= kAvx512.
 SimBackend& avx512_backend();
 
-/// Every registered backend, in registration order (scalar first, then
-/// bitpar, faultpar, and whichever wide backends the host CPU supports).
+/// Every registered backend, in registration order (scalar, bitpar, then
+/// whichever wide backends the host CPU supports, ascending width).
 std::span<SimBackend* const> all_backends();
 
 /// Lookup by name(); nullptr when unknown.
@@ -117,8 +115,8 @@ SimBackend* find_backend(std::string_view name);
 /// Comma-separated list of registered backend names (for error messages).
 std::string backend_names();
 
-/// The process-wide default backend: the widest registered test-parallel
-/// backend (avx512 > avx2 > bitpar; never faultpar or scalar) unless
+/// The process-wide default backend: the widest registered packed backend
+/// (avx512 > avx2 > bitpar; never scalar) unless
 /// select_backend() changed it. Engines that don't take an explicit backend
 /// use this one. Identical result bytes either way — only speed varies.
 SimBackend& selected_backend();

@@ -11,8 +11,8 @@
 //   detected(test, fault) = AND over requirements r, planes q specified in r:
 //                           known[r.line][q] & (value ^ ~required)
 //
-// The kernel itself lives in backend_wide.hpp, shared with the faultpar/
-// avx2/avx512 backends; this TU is the Vec = std::uint64_t instantiation,
+// The kernel itself lives in backend_wide.hpp, shared with the avx2 and
+// avx512 backends; this TU is the Vec = std::uint64_t instantiation,
 // compiled with baseline ISA flags. Produces matrices bit-identical to
 // ScalarBackend at a fraction of the cost for large test sets (see
 // `micro_engines backends`); 64-test word columns farm out over the runtime

@@ -1,8 +1,8 @@
 // ScalarBackend: the compiled triple simulator run once per test.
 //
 // This is the reference implementation of the SimBackend contract — one
-// `simulate(cc, pis, scratch)` pass per test, then a `Triple::covers` walk
-// over every fault's requirement list. It deliberately parallelizes over the
+// `simulate(cc, pis, scratch)` pass per test, then the same `satisfied`
+// requirement check FaultSimulator uses. It deliberately parallelizes over the
 // same 64-test word columns as the bit-parallel backend (not over individual
 // tests), so the two backends share one parallel decomposition: each task
 // owns a disjoint set of matrix word columns, writes race nothing, and the
@@ -52,13 +52,22 @@ class ScalarBackend final : public SimBackend {
     const std::size_t words = matrix.words_per_row();
     const std::span<const NodeId> inputs = cc.inputs();
 
+    // Size one arena per task that can run concurrently, on the calling
+    // thread: the parallel phase never allocates.
+    runtime::TaskArenas<Arena>& arenas = scratch_.local();
+    bool grew = false;
+    for (Arena& a : arenas.prepare(runtime::global_pool().concurrency(words))) {
+      grew |= a.sim.triples.capacity() < cc.node_count() ||
+              a.pis.capacity() < inputs.size();
+      a.sim.triples.reserve(cc.node_count());
+      a.pis.resize(inputs.size());
+    }
+    if (grew) grow_counter().add();
+
     runtime::global_pool().parallel_for(words, 1, [&](std::size_t w0,
                                                       std::size_t w1) {
-      Scratch& s = scratch_.local();
-      if (s.sim.triples.capacity() < cc.node_count() ||
-          s.pis.capacity() < inputs.size()) {
-        grow_counter().add();
-      }
+      const auto lease = arenas.lease();
+      Arena& s = *lease;
       for (std::size_t w = w0; w < w1; ++w) {
         const std::size_t base = w * 64;
         const std::size_t lanes =
@@ -68,21 +77,15 @@ class ScalarBackend final : public SimBackend {
           if (t.pi_values.size() != inputs.size()) {
             throw std::invalid_argument("ScalarBackend: bad test width");
           }
-          s.pis.resize(inputs.size());
           for (std::size_t i = 0; i < inputs.size(); ++i) {
             s.pis[i] = pi_triple(t.pi_values[i].a1, t.pi_values[i].a3);
           }
           const std::span<const Triple> values = simulate(cc, s.pis, s.sim);
           const std::uint64_t bit = std::uint64_t{1} << lane;
           for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-            bool ok = true;
-            for (const auto& r : faults[fi].requirements) {
-              if (!values[r.line].covers(r.value)) {
-                ok = false;
-                break;
-              }
+            if (satisfied(values, faults[fi].requirements)) {
+              matrix.word(fi, w) |= bit;
             }
-            if (ok) matrix.word(fi, w) |= bit;
           }
         }
       }
@@ -92,11 +95,12 @@ class ScalarBackend final : public SimBackend {
   }
 
  private:
-  struct Scratch {
+  struct Arena {
     SimScratch sim;
     std::vector<Triple> pis;  // normalized PI triples of the current test
   };
-  mutable runtime::PerWorker<Scratch> scratch_;
+  // Per calling thread: the arenas its calls lend to their column tasks.
+  mutable runtime::PerWorker<runtime::TaskArenas<Arena>> scratch_;
 };
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Width-generic bit-parallel simulation kernel shared by the bitpar,
-// faultpar, avx2 and avx512 backends.
+// Width-generic bit-parallel simulation kernel shared by the bitpar, avx2
+// and avx512 backends.
 //
 // The 64-tests/word kernel from PR 6 generalized over the word type: `Vec`
 // is either plain std::uint64_t (64 lanes) or a GCC vector-extension type —
@@ -28,7 +28,7 @@
 // of a shared helper and hand it to the baseline backends — an illegal
 // instruction on hosts without AVX. Internal linkage gives every TU its own
 // copy compiled with its own flags, which is the whole point of per-TU
-// flags. Only the four backend .cpp files may include this header.
+// flags. Only the three packed backend .cpp files may include this header.
 #pragma once
 
 #include <algorithm>
@@ -326,13 +326,17 @@ class WideBackend final : public SimBackend {
 
  private:
   using Ops = VecOps<Vec>;
-  struct Scratch {
-    // Per-worker simulation state.
+  /// One column task's simulation state.
+  struct Arena {
     std::vector<PlaneVec<Vec>> planes[3];
     std::vector<Vec> atom_masks;
-    // Per-call setup, used only through the calling thread's slot.
+  };
+  /// Per calling thread: the per-call setup plus the arenas its calls lend
+  /// to their column tasks.
+  struct Scratch {
     PackedTests pack;
     ReqPlan plan;
+    runtime::TaskArenas<Arena> arenas;
   };
 
   DetectionMatrix run(const CompiledCircuit& cc,
@@ -346,15 +350,23 @@ class WideBackend final : public SimBackend {
     const std::size_t wide_words =
         (tests.size() + Ops::kLanes - 1) / Ops::kLanes;
 
+    // Size one arena per task that can run concurrently, on the calling
+    // thread: the parallel phase never allocates.
+    runtime::TaskArenas<Arena>& arenas = scratch_.local().arenas;
+    bool grew = false;
+    for (Arena& a :
+         arenas.prepare(runtime::global_pool().concurrency(wide_words))) {
+      grew |= a.planes[0].capacity() < cc.node_count() ||
+              a.atom_masks.capacity() < plan.atoms.size();
+      for (int q = 0; q < 3; ++q) a.planes[q].resize(cc.node_count());
+      a.atom_masks.resize(plan.atoms.size());
+    }
+    if (grew) grows_.add();
+
     runtime::global_pool().parallel_for(
         wide_words, 1, [&](std::size_t w0, std::size_t w1) {
-          Scratch& s = scratch_.local();
-          if (s.planes[0].capacity() < cc.node_count() ||
-              s.atom_masks.capacity() < plan.atoms.size()) {
-            grows_.add();
-          }
-          for (int q = 0; q < 3; ++q) s.planes[q].resize(cc.node_count());
-          s.atom_masks.resize(plan.atoms.size());
+          const auto lease = arenas.lease();
+          Arena& s = *lease;
           PlaneVec<Vec>* const planes[3] = {s.planes[0].data(),
                                             s.planes[1].data(),
                                             s.planes[2].data()};

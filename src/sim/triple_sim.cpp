@@ -1,7 +1,7 @@
 #include "sim/triple_sim.hpp"
 
-#include <cassert>
 #include <stdexcept>
+#include <utility>
 
 namespace pdf {
 
@@ -10,62 +10,16 @@ Triple pi_triple(V3 b1, V3 b3) {
   return Triple{b1, mid, b3};
 }
 
-Triple eval_gate_triple(GateType t, std::span<const Triple> fanin) {
-  // Fixed stack buffer: finalize() bounds fanin at kMaxGateFanin.
-  assert(fanin.size() <= kMaxGateFanin);
-  V3 plane[kMaxGateFanin];
-  Triple out;
-  for (int p = 0; p < 3; ++p) {
-    for (std::size_t i = 0; i < fanin.size(); ++i) plane[i] = fanin[i][p];
-    const V3 v = eval_gate(t, std::span<const V3>(plane, fanin.size()));
-    switch (p) {
-      case 0: out.a1 = v; break;
-      case 1: out.a2 = v; break;
-      default: out.a3 = v; break;
-    }
-  }
-  return out;
-}
-
 std::vector<Triple> simulate(const Netlist& nl, std::span<const Triple> pi_values) {
-  if (pi_values.size() != nl.inputs().size()) {
-    throw std::invalid_argument("simulate: wrong number of PI triples");
-  }
-  std::vector<Triple> value(nl.node_count(), kAllX);
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    value[nl.inputs()[i]] = pi_values[i];
-  }
-  std::vector<Triple> fanin;
-  for (NodeId id : nl.topo_order()) {
-    const Node& n = nl.node(id);
-    if (n.type == GateType::Input) continue;
-    if (n.type == GateType::Dff) {
-      throw std::invalid_argument("simulate: netlist is sequential");
-    }
-    fanin.clear();
-    for (NodeId f : n.fanin) fanin.push_back(value[f]);
-    value[id] = eval_gate_triple(n.type, fanin);
-  }
-  return value;
+  SimScratch scratch;
+  simulate(CompiledCircuit(nl), pi_values, scratch);
+  return std::move(scratch.triples);
 }
 
 std::vector<V3> simulate_plane(const Netlist& nl, std::span<const V3> pi_values) {
-  if (pi_values.size() != nl.inputs().size()) {
-    throw std::invalid_argument("simulate_plane: wrong number of PI values");
-  }
-  std::vector<V3> value(nl.node_count(), V3::X);
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    value[nl.inputs()[i]] = pi_values[i];
-  }
-  std::vector<V3> fanin;
-  for (NodeId id : nl.topo_order()) {
-    const Node& n = nl.node(id);
-    if (n.type == GateType::Input) continue;
-    fanin.clear();
-    for (NodeId f : n.fanin) fanin.push_back(value[f]);
-    value[id] = eval_gate(n.type, fanin);
-  }
-  return value;
+  SimScratch scratch;
+  simulate_plane(CompiledCircuit(nl), pi_values, scratch);
+  return std::move(scratch.plane);
 }
 
 std::span<const Triple> simulate(const CompiledCircuit& cc,

@@ -12,14 +12,13 @@
 // possible skew of the transitioning inputs (e.g. a steady controlling side
 // input blocks all hazards).
 //
-// Two entry points per simulation:
-//   * the `Netlist` overloads walk the node graph directly and allocate the
-//     result — the legacy reference path, kept as the differential-testing
-//     baseline;
-//   * the `CompiledCircuit` overloads run linear scans over the flattened
-//     arrays into a caller-owned `SimScratch` and allocate nothing in the
-//     steady state — the execution path every engine uses.
-// Both produce bit-identical values.
+// One evaluator per simulation: the `CompiledCircuit` overloads run linear
+// scans over the flattened arrays into a caller-owned `SimScratch` and
+// allocate nothing in the steady state — the execution path every engine
+// uses. The `Netlist` overloads are one-shot conveniences that compile a
+// view, run it and return the values; callers that simulate more than one
+// vector compile once and use the compiled overloads. The differential
+// baseline is the oracle (`oracle::simulate`, DESIGN.md §10).
 #pragma once
 
 #include <span>
@@ -36,16 +35,13 @@ namespace pdf {
 /// specified, x otherwise.
 Triple pi_triple(V3 b1, V3 b3);
 
-/// Evaluates one gate over fanin triples (plane-wise). Fanin count must not
-/// exceed kMaxGateFanin (Netlist::finalize() guarantees this).
-Triple eval_gate_triple(GateType t, std::span<const Triple> fanin);
-
-/// Simulates the whole netlist. `pi_values[i]` is the triple of
-/// nl.inputs()[i]. Returns one triple per node (indexed by NodeId).
-/// The netlist must be finalized and combinational.
+/// Simulates the whole netlist (compiles a view, then runs the compiled
+/// overload). `pi_values[i]` is the triple of nl.inputs()[i]. Returns one
+/// triple per node (indexed by NodeId). The netlist must be finalized and
+/// combinational.
 std::vector<Triple> simulate(const Netlist& nl, std::span<const Triple> pi_values);
 
-/// Single-plane (classic 3-valued) simulation helper.
+/// Single-plane (classic 3-valued) simulation convenience, likewise compiled.
 std::vector<V3> simulate_plane(const Netlist& nl, std::span<const V3> pi_values);
 
 /// Compiled-core simulation: fills scratch.triples (one triple per node) and

@@ -2,7 +2,8 @@
 //
 // One header owns every hand-built example netlist, the seeded small-circuit
 // generator used by property tests, the structural mutators the fuzzers
-// perturb circuits with, and the small enumeration helpers. Test files,
+// perturb circuits with, the small enumeration helpers, and the per-test
+// detection reference that batched results are checked against. Test files,
 // tests/test_fuzz.cpp and tools/pdf_check all include this header instead of
 // keeping private copies (the pre-PR-5 state had four copies of named_path
 // alone).
@@ -13,12 +14,14 @@
 
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "base/rng.hpp"
 #include "base/triple.hpp"
 #include "atpg/test_pattern.hpp"
+#include "faultsim/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 #include "paths/path.hpp"
 
@@ -312,6 +315,22 @@ inline void for_each_binary_test(
     }
     fn(pis);
   }
+}
+
+// ---- per-test detection reference --------------------------------------------
+
+/// Per-fault flags: detected by at least one of `tests`, from one per-test
+/// FaultSimulator query per test. The reference BatchSimulator::detects_any
+/// is compared against.
+inline std::vector<bool> detected_by_any(const FaultSimulator& fsim,
+                                         std::span<const TwoPatternTest> tests,
+                                         std::span<const TargetFault> faults) {
+  std::vector<bool> out(faults.size(), false);
+  for (const TwoPatternTest& t : tests) {
+    const std::vector<bool> d = fsim.detects(t, faults);
+    for (std::size_t i = 0; i < d.size(); ++i) out[i] = out[i] || d[i];
+  }
+  return out;
 }
 
 }  // namespace pdf::testutil

@@ -6,6 +6,7 @@
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/backend_env.hpp"
@@ -43,10 +44,10 @@ TEST(BatchSim, MatchesScalarSimulatorOnRandomTests) {
     FaultSimulator scalar(nl);
     BatchSimulator parallel(nl);
     EXPECT_EQ(parallel.detects_any(tests, ts.p0),
-              scalar.detects_any(tests, ts.p0))
+              testutil::detected_by_any(scalar, tests, ts.p0))
         << name;
     EXPECT_EQ(parallel.detects_any(tests, ts.p1),
-              scalar.detects_any(tests, ts.p1))
+              testutil::detected_by_any(scalar, tests, ts.p1))
         << name;
   }
 }
@@ -100,7 +101,7 @@ TEST(BatchSim, WordLogicMatchesTripleSimExactly) {
       }
     }
     EXPECT_EQ(parallel.detects_any(tests, probes),
-              scalar.detects_any(tests, probes))
+              testutil::detected_by_any(scalar, tests, probes))
         << "iter " << iter;
   }
 }
@@ -120,9 +121,16 @@ TEST(BatchSim, EmptyInputs) {
 TEST(BatchSim, ZeroAllocationAfterWarmupForEveryBackend) {
   // The DESIGN.md §11 memory contract: after one warm-up call sized like the
   // workload, repeated batched queries reuse the scratch arenas — the
-  // sim.<backend>.scratch_grows counter must not move. Covers every
-  // registered backend, including the shared plane buffer in faultpar and
-  // the wide-vector arenas in avx2/avx512.
+  // sim.<backend>.scratch_grows counter must not move, whichever workers
+  // the pool schedules the columns on. Covers every registered backend,
+  // including the wide-vector arenas in avx2/avx512, on a multi-worker pool
+  // with fewer avx512 columns than workers (the shape where arenas that
+  // warm lazily per worker would grow after warm-up).
+  const struct PoolGuard {
+    std::size_t before = runtime::global_threads();
+    PoolGuard() { runtime::set_global_threads(4); }
+    ~PoolGuard() { runtime::set_global_threads(before); }
+  } pool;
   const Netlist nl = benchmark_circuit("b03_like");
   TargetSetConfig cfg;
   cfg.n_p = 200;

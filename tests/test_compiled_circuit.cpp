@@ -7,6 +7,7 @@
 
 #include "gen/random_circuit.hpp"
 #include "gen/registry.hpp"
+#include "oracle/oracle.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
@@ -111,8 +112,9 @@ TEST(CompiledCircuit, FinalizeEnforcesFaninBound) {
   EXPECT_THROW(nl.finalize(), std::runtime_error);
 }
 
-// The compiled simulators must be bit-identical to the legacy per-node
-// simulators on every line, for random circuits and random assignments.
+// The compiled simulators must be bit-identical to the oracle's definitional
+// simulators on every line, for random circuits and random assignments
+// (including x pattern values).
 TEST(CompiledCircuit, DifferentialTripleSimulation) {
   Rng rng(2026);
   SimScratch scratch;
@@ -124,11 +126,11 @@ TEST(CompiledCircuit, DifferentialTripleSimulation) {
       const V3 vals[] = {V3::Zero, V3::One, V3::X};
       t = pi_triple(vals[rng.below(3)], vals[rng.below(3)]);
     }
-    const auto legacy = simulate(nl, pis);
+    const auto ref = oracle::simulate(nl, pis);
     const auto compiled = simulate(cc, pis, scratch);
-    ASSERT_EQ(compiled.size(), legacy.size());
+    ASSERT_EQ(compiled.size(), ref.size());
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-      EXPECT_EQ(compiled[id], legacy[id]) << nl.node(id).name;
+      EXPECT_EQ(compiled[id], ref[id]) << nl.node(id).name;
     }
   }
 }
@@ -144,11 +146,11 @@ TEST(CompiledCircuit, DifferentialPlaneSimulation) {
       const V3 vals[] = {V3::Zero, V3::One, V3::X};
       v = vals[rng.below(3)];
     }
-    const auto legacy = simulate_plane(nl, pis);
+    const auto ref = oracle::simulate_plane(nl, pis);
     const auto compiled = simulate_plane(cc, pis, scratch);
-    ASSERT_EQ(compiled.size(), legacy.size());
+    ASSERT_EQ(compiled.size(), ref.size());
     for (NodeId id = 0; id < nl.node_count(); ++id) {
-      EXPECT_EQ(compiled[id], legacy[id]) << nl.node(id).name;
+      EXPECT_EQ(compiled[id], ref[id]) << nl.node(id).name;
     }
   }
 }
@@ -172,17 +174,17 @@ TEST(CompiledCircuit, DifferentialOnGeneratedBenchmarks) {
         const V3 vals[] = {V3::Zero, V3::One, V3::X};
         t = pi_triple(vals[rng.below(3)], vals[rng.below(3)]);
       }
-      const auto legacy = simulate(nl, pis);
+      const auto ref = oracle::simulate(nl, pis);
       const auto compiled = simulate(cc, pis, scratch);
       for (NodeId id = 0; id < nl.node_count(); ++id) {
-        ASSERT_EQ(compiled[id], legacy[id]) << "seed " << seed << " node " << id;
+        ASSERT_EQ(compiled[id], ref[id]) << "seed " << seed << " node " << id;
       }
     }
   }
 }
 
 // A borrowed-view event simulator driven one PI at a time must land on the
-// same quiescent values as a full legacy pass.
+// same quiescent values as a full pass.
 TEST(CompiledCircuit, EventSimMatchesFullSimulation) {
   Rng rng(555);
   for (int iter = 0; iter < 20; ++iter) {
@@ -239,9 +241,9 @@ TEST(CompiledCircuit, ScratchIsReusedAcrossCircuits) {
   EXPECT_EQ(a.size(), small.node_count());
   const auto b = simulate(cb, pi_big, scratch);
   EXPECT_EQ(b.size(), big.node_count());
-  const auto legacy = simulate(big, pi_big);
+  const auto fresh = simulate(big, pi_big);  // compiled with its own scratch
   for (NodeId id = 0; id < big.node_count(); ++id) {
-    ASSERT_EQ(b[id], legacy[id]);
+    ASSERT_EQ(b[id], fresh[id]);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "enrich/enrichment.hpp"
 #include "gen/registry.hpp"
 
@@ -81,6 +86,31 @@ TEST(Coverage, EmptyFaultList) {
   EXPECT_EQ(b.total, 0u);
   EXPECT_EQ(b.ratio(), 0.0);
   EXPECT_TRUE(b.buckets.empty());
+}
+
+TEST(Coverage, SequentialNetlistIsRejectedForAnyTestSet) {
+  // The simulating overload needs a combinational netlist; a sequential one
+  // gets the same typed error whether or not there is anything to simulate.
+  Netlist nl("seq");
+  const NodeId a = nl.add_input("a");
+  const NodeId b = nl.add_input("b");
+  const NodeId ff = nl.add_gate("ff", GateType::Dff, {a});
+  nl.mark_output(nl.add_gate("z", GateType::And, {ff, b}));
+  nl.finalize();
+  ASSERT_TRUE(nl.has_sequential());
+  TwoPatternTest t;
+  t.pi_values.assign(nl.inputs().size(), kRise);
+  const std::vector<TwoPatternTest> one = {t};
+  for (const std::span<const TwoPatternTest> tests :
+       {std::span<const TwoPatternTest>{}, std::span<const TwoPatternTest>(one)}) {
+    try {
+      (void)coverage_by_length(nl, tests, std::span<const TargetFault>{});
+      ADD_FAILURE() << "no error for " << tests.size() << " tests";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sequential"), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

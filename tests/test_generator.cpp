@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "enrich/target_sets.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 
@@ -42,7 +43,7 @@ TEST(Generator, DetectionFlagsMatchResimulation) {
   GeneratorConfig cfg;
   cfg.heuristic = CompactionHeuristic::Length;
   const GenerationResult r = generate_tests(fx.nl, fx.sets.p0, {}, cfg);
-  FaultSimulator fsim(fx.nl);
+  const BatchSimulator fsim(fx.nl);
   const auto resim = fsim.detects_any(r.tests, fx.sets.p0);
   ASSERT_EQ(resim.size(), r.detected_p0.size());
   for (std::size_t i = 0; i < resim.size(); ++i) {
@@ -120,7 +121,7 @@ TEST(Generator, EnrichmentDetectsMoreP1ThanBasic) {
   const GenerationResult enriched =
       generate_tests(fx.nl, fx.sets.p0, fx.sets.p1, cfg);
 
-  FaultSimulator fsim(fx.nl);
+  const BatchSimulator fsim(fx.nl);
   const auto accidental = fsim.detects_any(basic.tests, fx.sets.p1);
   const std::size_t accidental_count =
       std::count(accidental.begin(), accidental.end(), true);

@@ -6,6 +6,7 @@
 #include <fstream>
 
 #include "enrich/enrichment.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
@@ -38,10 +39,10 @@ TEST_P(PipelineSweep, InvariantsHold) {
   for (const auto& t : r.tests) EXPECT_TRUE(t.fully_specified());
 
   // (2) Detection flags are reproducible by plain fault simulation.
-  FaultSimulator fsim(nl);
-  EXPECT_EQ(fsim.detects_any(r.tests, ts.p0),
+  const BatchSimulator batch(nl);
+  EXPECT_EQ(batch.detects_any(r.tests, ts.p0),
             std::vector<bool>(r.detected_p0.begin(), r.detected_p0.end()));
-  EXPECT_EQ(fsim.detects_any(r.tests, ts.p1),
+  EXPECT_EQ(batch.detects_any(r.tests, ts.p1),
             std::vector<bool>(r.detected_p1.begin(), r.detected_p1.end()));
 
   // (3) Test count is bounded by successful P0 primaries (P1 adds none).
@@ -50,6 +51,7 @@ TEST_P(PipelineSweep, InvariantsHold) {
   EXPECT_LE(r.tests.size(), ts.p0.size());
 
   // (4) Every test detects at least its primary target.
+  const FaultSimulator fsim(nl);
   for (const auto& t : r.tests) {
     const auto det = fsim.detects(t, ts.p0);
     EXPECT_TRUE(std::find(det.begin(), det.end(), true) != det.end());

@@ -4,7 +4,7 @@
 
 #include "atpg/generator.hpp"
 #include "enrich/target_sets.hpp"
-#include "faultsim/fault_sim.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "gen/registry.hpp"
 
 namespace pdf {
@@ -77,7 +77,7 @@ TEST(MultiSet, ThreeSetGenerationKeepsTestCountInvariant) {
   EXPECT_EQ(r.detected[2].size(), m.sets[2].size());
 
   // Detection flags agree with post-hoc simulation for every set.
-  FaultSimulator fsim(nl);
+  const BatchSimulator fsim(nl);
   for (int k = 0; k < 3; ++k) {
     EXPECT_EQ(fsim.detects_any(r.tests, spans[k]),
               std::vector<bool>(r.detected[k].begin(), r.detected[k].end()));

@@ -2,7 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "enrich/enrichment.hpp"
-#include "faultsim/fault_sim.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "gen/registry.hpp"
 #include "paths/enumerate.hpp"
 #include "testutil/circuits.hpp"
@@ -90,7 +90,7 @@ TEST(NonRobust, GenerationWorksEndToEnd) {
   const GenerationResult r = wb.run_enriched({});
   EXPECT_GT(r.detected_p0_count(), 0u);
   // Detection flags still agree with simulation (same criterion, relaxed A).
-  FaultSimulator fsim(nl);
+  const BatchSimulator fsim(nl);
   EXPECT_EQ(fsim.detects_any(r.tests, wb.targets().p0),
             std::vector<bool>(r.detected_p0.begin(), r.detected_p0.end()));
 }

@@ -5,6 +5,7 @@
 #include "enrich/enrichment.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
+#include "testutil/circuits.hpp"
 
 namespace pdf {
 namespace {
@@ -29,11 +30,13 @@ TEST(PostCompact, CoveragePreservedExactly) {
   EXPECT_LE(pc.tests.size(), fx.gen.tests.size());
   EXPECT_EQ(pc.tests.size() + pc.dropped, fx.gen.tests.size());
 
-  FaultSimulator fsim(fx.nl);
-  EXPECT_EQ(fsim.detects_any(pc.tests, fx.sets.p0),
-            fsim.detects_any(fx.gen.tests, fx.sets.p0));
-  EXPECT_EQ(fsim.detects_any(pc.tests, fx.sets.p1),
-            fsim.detects_any(fx.gen.tests, fx.sets.p1));
+  // Checked with the per-test engine: post_compact itself runs on
+  // BatchSimulator.
+  const FaultSimulator fsim(fx.nl);
+  EXPECT_EQ(testutil::detected_by_any(fsim, pc.tests, fx.sets.p0),
+            testutil::detected_by_any(fsim, fx.gen.tests, fx.sets.p0));
+  EXPECT_EQ(testutil::detected_by_any(fsim, pc.tests, fx.sets.p1),
+            testutil::detected_by_any(fsim, fx.gen.tests, fx.sets.p1));
 }
 
 TEST(PostCompact, KeptIndicesAscendingAndConsistent) {
@@ -61,8 +64,8 @@ TEST(PostCompact, EveryKeptTestIsEssentialInReverseOrder) {
     std::vector<TwoPatternTest> later(pc.tests.begin() + i + 1, pc.tests.end());
     const auto with0 = fsim.detects(pc.tests[i], fx.sets.p0);
     const auto with1 = fsim.detects(pc.tests[i], fx.sets.p1);
-    const auto later0 = fsim.detects_any(later, fx.sets.p0);
-    const auto later1 = fsim.detects_any(later, fx.sets.p1);
+    const auto later0 = testutil::detected_by_any(fsim, later, fx.sets.p0);
+    const auto later1 = testutil::detected_by_any(fsim, later, fx.sets.p1);
     bool essential = false;
     for (std::size_t f = 0; f < with0.size(); ++f) {
       if (with0[f] && !later0[f]) essential = true;

@@ -5,7 +5,7 @@
 #include <set>
 
 #include "atpg/generator.hpp"
-#include "faultsim/fault_sim.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "gen/registry.hpp"
 
 namespace pdf {
@@ -60,7 +60,7 @@ TEST(Transition, GenerationCoversMostTransitions) {
   EXPECT_GT(covered, 0u);
   EXPECT_LE(covered, t.targets.size());
   // Detected faults translate into covered line transitions consistently.
-  FaultSimulator fsim(nl);
+  const BatchSimulator fsim(nl);
   const auto resim = fsim.detects_any(r.tests, t.faults);
   EXPECT_EQ(covered_transitions(t, resim), covered);
 }

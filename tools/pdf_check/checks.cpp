@@ -217,9 +217,11 @@ std::optional<std::string> check_faultsim(const Netlist& nl, std::uint64_t seed)
   if (targets.empty()) return std::nullopt;
 
   const auto tests = random_tests(nl, mix(seed, 0xf5), 10);
-  const FaultSimulator fsim(nl);
-  const std::vector<bool> scalar = fsim.detects_any(tests, targets);
-  const BatchSimulator psim(nl);  // the selected backend (--backend)
+  // The per-test engine, OR-accumulated over the set, and the whole-set
+  // engine on the selected backend (--backend).
+  const std::vector<bool> scalar =
+      testutil::detected_by_any(FaultSimulator(nl), tests, targets);
+  const BatchSimulator psim(nl);
   const std::vector<bool> batched = psim.detects_any(tests, targets);
   const std::vector<bool> want = oracle::detects_any(nl, tests, kept);
   for (std::size_t i = 0; i < targets.size(); ++i) {
