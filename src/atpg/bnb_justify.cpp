@@ -121,9 +121,6 @@ BnbResult BnbJustifier::justify(std::span<const ValueRequirement> reqs,
   decisions_this_call_ = 0;
   budget_ = cfg.max_backtracks;
 
-  sim_.reset();
-  for (const auto& r : reqs) sim_.add_requirement(r.line, r.value);
-
   BnbResult out;
   auto finish = [&](BnbStatus st) {
     static auto& backtracks_hist =
@@ -140,6 +137,15 @@ BnbResult BnbJustifier::justify(std::span<const ValueRequirement> reqs,
     return out;
   };
 
+  // Two contradictory values on one line leave nothing to search (and the
+  // event simulator's requirement merge presumes consistent requirements).
+  RequirementSet merged;
+  for (const auto& r : reqs) {
+    if (!merged.add(r.line, r.value)) return finish(BnbStatus::Unsatisfiable);
+  }
+
+  sim_.reset();
+  for (const auto& r : reqs) sim_.add_requirement(r.line, r.value);
   if (sim_.violations() > 0) return finish(BnbStatus::Unsatisfiable);
 
   support_ = support_inputs(cc_, reqs);

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "atpg/selection.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
@@ -39,28 +40,22 @@ std::size_t GenerationResult::detected_count(std::size_t set) const {
 
 namespace {
 
-// One target set during generation: faults plus bookkeeping flags.
+constexpr std::size_t kNone = SecondaryPicker::kNone;
+
+// One target set during generation: faults, detection flags, the heuristic's
+// visit order and the secondary picker over that order.
 struct SetState {
   std::span<const TargetFault> faults;
   std::vector<bool> detected;
-  std::vector<bool> in_current_test;   // member of P(t)
-  std::vector<bool> tried_this_test;   // offered as secondary for current t
-  std::vector<std::size_t> order;      // heuristic visit order
+  std::vector<std::size_t> order;
+  SecondaryPicker picker;
 
-  explicit SetState(std::span<const TargetFault> f)
+  SetState(std::span<const TargetFault> f, std::vector<std::size_t> visit,
+           std::size_t node_count, bool rank_by_delta)
       : faults(f),
         detected(f.size(), false),
-        in_current_test(f.size(), false),
-        tried_this_test(f.size(), false) {}
-
-  void begin_test() {
-    std::fill(in_current_test.begin(), in_current_test.end(), false);
-    std::fill(tried_this_test.begin(), tried_this_test.end(), false);
-  }
-
-  bool eligible(std::size_t i) const {
-    return !detected[i] && !in_current_test[i] && !tried_this_test[i];
-  }
+        order(std::move(visit)),
+        picker(f, order, node_count, rank_by_delta) {}
 };
 
 class Generator {
@@ -68,10 +63,20 @@ class Generator {
   Generator(const Netlist& nl,
             std::span<const std::span<const TargetFault>> sets,
             const GeneratorConfig& cfg)
-      : nl_(nl), cfg_(cfg), engine_(nl, cfg.seed), bnb_(nl), fsim_(nl) {
-    sets_.reserve(sets.size());
-    for (const auto& s : sets) sets_.emplace_back(s);
-    if (sets_.empty()) sets_.emplace_back(std::span<const TargetFault>{});
+      : cfg_(cfg),
+        engine_(nl, cfg.seed),
+        bnb_(nl),
+        fsim_(nl),
+        union_(nl.node_count()) {
+    const bool by_value = cfg.heuristic == CompactionHeuristic::Value;
+    sets_.reserve(std::max<std::size_t>(sets.size(), 1));
+    for (const auto& s : sets) {
+      sets_.emplace_back(s, make_order(s), nl.node_count(), by_value);
+    }
+    if (sets_.empty()) {
+      sets_.emplace_back(std::span<const TargetFault>{},
+                         std::vector<std::size_t>{}, nl.node_count(), by_value);
+    }
   }
 
   GenerationResult run() {
@@ -79,7 +84,6 @@ class Generator {
     auto& metrics = runtime::Metrics::global();
     const auto timer_scope = metrics.timer("atpg.generate").measure();
     const auto start = std::chrono::steady_clock::now();
-    for (auto& s : sets_) s.order = make_order(s.faults);
 
     SetState& s0 = sets_[0];
     std::vector<bool> primary_tried(s0.faults.size(), false);
@@ -95,15 +99,16 @@ class Generator {
         continue;
       }
 
-      for (auto& s : sets_) s.begin_test();
-      s0.in_current_test[primary] = true;
       union_.clear();
-      union_.add_all(s0.faults[primary].requirements);
+      union_.merge(s0.faults[primary].requirements);
+      union_.commit();
 
       if (cfg_.heuristic != CompactionHeuristic::None) {
         // Sets are offered strictly in order: a set-k candidate is selected
         // only once every eligible candidate of sets 0..k-1 was considered.
-        for (auto& s : sets_) grow_with_secondaries(s, *test);
+        for (auto& s : sets_) {
+          grow_with_secondaries(s, &s == &s0 ? primary : kNone, *test);
+        }
       }
 
       drop_detected(*test);
@@ -124,8 +129,6 @@ class Generator {
   }
 
  private:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
   std::optional<TwoPatternTest> do_justify(
       std::span<const ValueRequirement> reqs) {
     if (cfg_.use_branch_and_bound) {
@@ -171,89 +174,83 @@ class Generator {
     return kNone;
   }
 
-  // Offers the eligible faults of `set` as secondary targets for the current
-  // test, updating `test` and the requirement union on every acceptance.
-  void grow_with_secondaries(SetState& set, TwoPatternTest& test) {
+  // Offers the eligible faults of `set` (all undetected ones but `exclude`,
+  // the primary) as secondary targets for the current test, updating `test`
+  // and the requirement union on every acceptance. A candidate whose
+  // requirements conflict with the union is rejected without justification.
+  void grow_with_secondaries(SetState& set, std::size_t exclude,
+                             TwoPatternTest& test) {
+    PDF_TRACE_SPAN("atpg.select");
+    using Clock = std::chrono::steady_clock;
+    static auto& select_timer = runtime::Metrics::global().timer("atpg.select");
+    static auto& prefilter_counter =
+        runtime::Metrics::global().counter("atpg.select.prefilter_rejects");
+    static auto& updates_counter =
+        runtime::Metrics::global().counter("atpg.select.delta_updates");
+    const Clock::time_point start = Clock::now();
+    Clock::duration justify_time{};
+    const std::uint64_t updates_before = set.picker.delta_updates();
+    std::uint64_t prefilter_rejects = 0;
+
+    set.picker.begin(union_, set.detected, exclude);
     std::size_t consecutive_failures = 0;
     for (;;) {
       if (cfg_.max_consecutive_secondary_failures > 0 &&
           consecutive_failures >= cfg_.max_consecutive_secondary_failures) {
         break;
       }
-      const std::size_t cand = pick_secondary(set);
+      const std::size_t cand = set.picker.pick();
       if (cand == kNone) break;
-      set.tried_this_test[cand] = true;
 
-      const auto& reqs = set.faults[cand].requirements;
-      if (union_.would_conflict(reqs)) {
+      if (set.picker.conflicts(cand)) {
+        ++prefilter_rejects;
         ++result_.stats.secondary_rejected;
         ++consecutive_failures;
         continue;
       }
-      RequirementSet merged = union_;
-      merged.add_all(reqs);
-      auto new_test = do_justify(merged.items());
+      union_.merge(set.faults[cand].requirements);
+      const Clock::time_point justify_start = Clock::now();
+      auto new_test = do_justify(union_.items());
+      justify_time += Clock::now() - justify_start;
       if (!new_test) {
+        union_.undo();
         ++result_.stats.secondary_rejected;
         ++consecutive_failures;
         continue;
       }
-      union_ = std::move(merged);
-      set.in_current_test[cand] = true;
+      set.picker.apply(union_.commit());
       test = std::move(*new_test);
       ++result_.stats.secondary_accepted;
       consecutive_failures = 0;
     }
-  }
 
-  std::size_t pick_secondary(const SetState& set) const {
-    if (cfg_.heuristic != CompactionHeuristic::Value) {
-      for (std::size_t idx : set.order) {
-        if (set.eligible(idx)) return idx;
-      }
-      return kNone;
-    }
-    // Value-based: minimum number of requirements not already guaranteed by
-    // the current union; ties resolve to the longer path (orders are
-    // length-sorted), then earlier list position.
-    std::size_t best = kNone;
-    std::size_t best_delta = 0;
-    for (std::size_t idx : set.order) {
-      if (!set.eligible(idx)) continue;
-      const std::size_t d = union_.delta_count(set.faults[idx].requirements);
-      if (best == kNone || d < best_delta) {
-        best = idx;
-        best_delta = d;
-        if (d == 0) break;  // cannot do better
-      }
-    }
-    return best;
+    // The timer counts selection alone; the justifications it waited on are
+    // the atpg.justify spans nested inside this call's span.
+    select_timer.record(static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            Clock::now() - start - justify_time)
+            .count()));
+    prefilter_counter.add(prefilter_rejects);
+    updates_counter.add(set.picker.delta_updates() - updates_before);
   }
 
   void drop_detected(const TwoPatternTest& test) {
     const std::vector<Triple> values = fsim_.line_values(test);
     for (auto& set : sets_) {
       for (std::size_t i = 0; i < set.faults.size(); ++i) {
-        if (set.detected[i]) continue;
-        bool ok = true;
-        for (const auto& r : set.faults[i].requirements) {
-          if (!values[r.line].covers(r.value)) {
-            ok = false;
-            break;
-          }
+        if (!set.detected[i] && satisfied(values, set.faults[i].requirements)) {
+          set.detected[i] = true;
         }
-        if (ok) set.detected[i] = true;
       }
     }
   }
 
-  const Netlist& nl_;
   GeneratorConfig cfg_;
   JustificationEngine engine_;
   BnbJustifier bnb_;
   FaultSimulator fsim_;
   std::vector<SetState> sets_;
-  RequirementSet union_;
+  RequirementUnion union_;
   GenerationResult result_;
 };
 

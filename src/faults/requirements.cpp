@@ -52,18 +52,6 @@ bool RequirementSet::would_conflict(std::span<const ValueRequirement> reqs) cons
   return false;
 }
 
-std::size_t RequirementSet::delta_count(
-    std::span<const ValueRequirement> reqs) const {
-  std::size_t n = 0;
-  for (const auto& r : reqs) {
-    auto it = lower_bound(r.line);
-    if (it == items_.end() || it->line != r.line || !it->value.covers(r.value)) {
-      ++n;
-    }
-  }
-  return n;
-}
-
 std::optional<Triple> RequirementSet::at(NodeId line) const {
   auto it = lower_bound(line);
   if (it == items_.end() || it->line != line) return std::nullopt;

@@ -17,8 +17,8 @@
 //     detected immediately).
 //
 // A test t detects {p1..pm} robustly iff it satisfies the union of the A(pi);
-// RequirementSet implements that union with conflict detection plus the
-// Δ-count used by the value-based compaction heuristic.
+// RequirementSet implements that union with conflict detection (the
+// generator's dense per-test union lives in atpg/selection.hpp).
 #pragma once
 
 #include <optional>
@@ -61,11 +61,6 @@ class RequirementSet {
   /// True when `value` on `line` would conflict with this set.
   bool would_conflict(NodeId line, const Triple& value) const;
   bool would_conflict(std::span<const ValueRequirement> reqs) const;
-
-  /// n_Δ of the value-based heuristic: the number of requirements in `reqs`
-  /// not already guaranteed by this set (a requirement is guaranteed when the
-  /// set's triple on that line covers it).
-  std::size_t delta_count(std::span<const ValueRequirement> reqs) const;
 
   std::optional<Triple> at(NodeId line) const;
   std::size_t size() const { return items_.size(); }

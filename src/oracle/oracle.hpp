@@ -39,6 +39,7 @@
 #include "base/triple.hpp"
 #include "faults/fault.hpp"
 #include "faults/requirements.hpp"
+#include "faults/screen.hpp"
 #include "netlist/netlist.hpp"
 
 namespace pdf::oracle {
@@ -136,6 +137,8 @@ std::vector<RefCoverageBucket> coverage_by_length(
     const Netlist& nl, std::span<const TwoPatternTest> tests,
     std::span<const PathDelayFault> faults);
 
+// ---- secondary-target selection (ref_select.cpp) ---------------------------
+
 /// The n_Delta of the value-based compaction heuristic, from the definition:
 /// the number of requirements in `want` not already guaranteed by `have`
 /// (a requirement is guaranteed when `have` assigns its line a triple whose
@@ -143,5 +146,25 @@ std::vector<RefCoverageBucket> coverage_by_length(
 /// requirement). `have` holds distinct lines in any order.
 std::size_t delta_count(std::span<const ValueRequirement> have,
                         std::span<const ValueRequirement> want);
+
+/// True when some requirement of `want` specifies a component that `have`
+/// specifies differently on the same line.
+bool conflicts(std::span<const ValueRequirement> have,
+               std::span<const ValueRequirement> want);
+
+/// `have` plus every requirement of `want`, component by component (a
+/// specified value fills an unknown one), one entry per line in ascending
+/// line order. Precondition: !conflicts(have, want).
+std::vector<ValueRequirement> merge(std::span<const ValueRequirement> have,
+                                    std::span<const ValueRequirement> want);
+
+/// The value-based secondary choice (paper Section 2.2), naively: visiting
+/// `order`, the first fault with eligible[i] set whose delta_count against
+/// `have` is minimal. Returns static_cast<std::size_t>(-1) when no fault is
+/// eligible.
+std::size_t pick_secondary(std::span<const ValueRequirement> have,
+                           std::span<const TargetFault> faults,
+                           std::span<const std::size_t> order,
+                           const std::vector<bool>& eligible);
 
 }  // namespace pdf::oracle

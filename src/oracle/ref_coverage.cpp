@@ -35,32 +35,4 @@ std::vector<RefCoverageBucket> coverage_by_length(
   return out;
 }
 
-namespace {
-
-/// One plane of the cover relation: an unknown requirement asks nothing; a
-/// specified requirement is guaranteed only by the identical specified value.
-bool plane_covers(V3 have, V3 want) { return want == V3::X || have == want; }
-
-}  // namespace
-
-std::size_t delta_count(std::span<const ValueRequirement> have,
-                        std::span<const ValueRequirement> want) {
-  std::size_t n = 0;
-  for (const auto& w : want) {
-    // A line `have` says nothing about carries the all-unknown triple.
-    Triple h;
-    for (const auto& entry : have) {
-      if (entry.line == w.line) {
-        h = entry.value;
-        break;
-      }
-    }
-    const bool guaranteed = plane_covers(h.a1, w.value.a1) &&
-                            plane_covers(h.a2, w.value.a2) &&
-                            plane_covers(h.a3, w.value.a3);
-    if (!guaranteed) ++n;
-  }
-  return n;
-}
-
 }  // namespace pdf::oracle

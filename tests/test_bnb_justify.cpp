@@ -47,6 +47,22 @@ TEST(BnbJustify, ProvesUnsatisfiability) {
   EXPECT_EQ(bnb.justify(reqs, cfg).status, BnbStatus::Unsatisfiable);
 }
 
+TEST(BnbJustify, SelfConflictingSetIsUnsatisfiable) {
+  // Two contradictory values on one line: no test exists, and the justifier
+  // must say so before handing the set to its event simulator.
+  const Netlist nl = testutil::tiny_and_or();
+  BnbJustifier bnb(nl);
+  const ValueRequirement reqs[] = {
+      {nl.id_of("y"), kRise},
+      {nl.id_of("y"), kSteady0},
+  };
+  EXPECT_EQ(bnb.justify(reqs).status, BnbStatus::Unsatisfiable);
+  EXPECT_EQ(bnb.stats().unsat, 1u);
+  // The justifier stays usable for a consistent set afterwards.
+  const ValueRequirement ok[] = {{nl.id_of("y"), kRise}};
+  EXPECT_EQ(bnb.justify(ok).status, BnbStatus::Satisfiable);
+}
+
 TEST(BnbJustify, ExactOnSmallCircuits) {
   // Property: on small random circuits the verdict equals brute-force
   // existence over all binary two-pattern tests.

@@ -142,20 +142,6 @@ TEST(RequirementSet, AddAllIsAtomic) {
   EXPECT_FALSE(s.at(2).has_value());
 }
 
-TEST(RequirementSet, DeltaCount) {
-  RequirementSet s;
-  s.add(1, kSteady0);
-  s.add(2, kRise);
-  const ValueRequirement reqs[] = {
-      {1, kFinal0},   // covered by steady 0 -> not new
-      {2, kRise},     // identical -> not new
-      {3, kSteady1},  // new line
-      {2, kSteady1},  // conflicting/uncovered -> counts as new
-  };
-  EXPECT_EQ(s.delta_count(reqs), 2u);
-  EXPECT_EQ(s.delta_count({}), 0u);
-}
-
 TEST(RequirementSet, WouldConflict) {
   RequirementSet s;
   s.add(7, kSteady0);

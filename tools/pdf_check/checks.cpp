@@ -1,5 +1,6 @@
 #include "pdf_check/checks.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "atpg/generator.hpp"
+#include "atpg/selection.hpp"
 #include "atpg/test_pattern.hpp"
 #include "base/rng.hpp"
 #include "enrich/target_sets.hpp"
@@ -182,18 +184,137 @@ std::optional<std::string> check_requirements(const Netlist& nl,
     usable_reqs.push_back(prod);
   }
 
-  // n_delta of the value-based heuristic against the set-based definition.
+  // The secondary picker's n_delta against the set-based definition.
   for (std::size_t a = 0; a + 1 < usable.size() && a < 8; ++a) {
-    RequirementSet set;
-    set.add_all(usable_reqs[a].values);
+    RequirementUnion u(nl.node_count());
+    u.merge(usable_reqs[a].values);
+    u.commit();
     const auto& want = usable_reqs[a + 1].values;
-    const std::size_t prod = set.delta_count(want);
-    const std::size_t ref_delta = oracle::delta_count(set.items(), want);
+    const TargetFault candidate[] = {TargetFault{*usable[a + 1], want}};
+    const std::size_t order[] = {0};
+    SecondaryPicker picker(candidate, order, nl.node_count(), true);
+    picker.begin(u, std::vector<bool>(1, false));
+    const std::size_t prod = picker.delta(0);
+    const std::size_t ref_delta = oracle::delta_count(u.items(), want);
     if (prod != ref_delta) {
       return "delta_count: production " + std::to_string(prod) + " vs oracle " +
              std::to_string(ref_delta) + " for " +
              describe_fault(nl, *usable[a + 1]) + " against " +
              describe_fault(nl, *usable[a]);
+    }
+  }
+  return std::nullopt;
+}
+
+// ---- differential: secondary-target selection ------------------------------
+
+std::optional<std::string> check_selection(const Netlist& nl,
+                                           std::uint64_t seed) {
+  // Candidates: the circuit's robust path faults plus random requirement sets
+  // (one value per line, so never self-conflicting) that collide with each
+  // other and with the paths far more often than real faults do.
+  std::vector<TargetFault> faults;
+  if (const auto ref = ref_paths(nl)) {
+    for (const auto& f : faults_of(*ref, 30)) {
+      FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+      if (reqs.conflicting) continue;
+      faults.push_back(TargetFault{f, std::move(reqs.values)});
+    }
+  }
+  Rng rng(mix(seed, 0x5e));
+  static const Triple kChoices[] = {kSteady0, kSteady1, kRise,
+                                    kFall,    kFinal0,  kFinal1};
+  for (int k = 0; k < 20; ++k) {
+    std::map<NodeId, Triple> lines;
+    const std::size_t n = 1 + rng.below(6);
+    for (std::size_t j = 0; j < n; ++j) {
+      lines.emplace(static_cast<NodeId>(rng.below(nl.node_count())),
+                    kChoices[rng.below(6)]);
+    }
+    TargetFault tf;
+    for (const auto& [line, value] : lines) tf.requirements.push_back({line, value});
+    faults.push_back(std::move(tf));
+  }
+
+  std::vector<std::size_t> order(faults.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.below(i)]);
+  }
+
+  // One picker across several tests, as in the generator: begin() must
+  // discard whatever the previous test's script left behind.
+  SecondaryPicker picker(faults, order, nl.node_count(), true);
+  RequirementUnion u(nl.node_count());
+  for (int round = 0; round < 4; ++round) {
+    const std::size_t max_failures = rng.coin() ? 0 : 1 + rng.below(3);
+    std::vector<bool> detected(faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) detected[i] = rng.below(5) == 0;
+    const std::size_t primary = rng.below(faults.size());
+    detected[primary] = false;
+    std::vector<bool> eligible(faults.size());
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      eligible[i] = !detected[i] && i != primary;
+    }
+
+    u.clear();
+    u.merge(faults[primary].requirements);
+    u.commit();
+    std::vector<ValueRequirement> have =
+        oracle::merge({}, faults[primary].requirements);
+    picker.begin(u, detected, primary);
+
+    std::size_t failures = 0;
+    for (std::size_t step = 0;; ++step) {
+      if (max_failures > 0 && failures >= max_failures) break;
+      const std::size_t got = picker.pick();
+      const std::size_t want = oracle::pick_secondary(have, faults, order, eligible);
+      const std::string where = "selection: round " + std::to_string(round) +
+                                " pick " + std::to_string(step) + ": ";
+      if (got != want) {
+        // Each side's pick with that side's own n_delta for it.
+        const auto describe = [&](std::size_t i, bool production) {
+          if (i == SecondaryPicker::kNone) return std::string("none");
+          const std::size_t d =
+              production ? picker.delta(i)
+                         : oracle::delta_count(have, faults[i].requirements);
+          return "fault " + std::to_string(i) + " (n_delta " +
+                 std::to_string(d) + ")";
+        };
+        return where + "production " + describe(got, true) + " vs reference " +
+               describe(want, false);
+      }
+      if (want == SecondaryPicker::kNone) break;
+      eligible[want] = false;
+      const auto& reqs = faults[want].requirements;
+      if (picker.delta(want) != oracle::delta_count(have, reqs)) {
+        return where + "n_delta of fault " + std::to_string(want) +
+               ": production " + std::to_string(picker.delta(want)) +
+               " vs reference " +
+               std::to_string(oracle::delta_count(have, reqs));
+      }
+      if (picker.conflicts(want) != oracle::conflicts(have, reqs)) {
+        return where + "conflict flag of fault " + std::to_string(want) +
+               ": production " + std::to_string(picker.conflicts(want)) +
+               " vs reference " + std::to_string(oracle::conflicts(have, reqs));
+      }
+      if (picker.conflicts(want)) {
+        ++failures;
+        continue;
+      }
+      u.merge(reqs);
+      if (rng.below(3) == 0) {  // the justifier said no
+        u.undo();
+        ++failures;
+      } else {
+        picker.apply(u.commit());
+        have = oracle::merge(have, reqs);
+        failures = 0;
+      }
+      const auto items = u.items();
+      if (!std::equal(items.begin(), items.end(), have.begin(), have.end())) {
+        return where + "requirement union differs from the reference merge";
+      }
     }
   }
   return std::nullopt;
@@ -529,6 +650,7 @@ constexpr Check kChecks[] = {
     {"sim_vs_oracle", 1, check_sim},
     {"paths_vs_oracle", 1, check_paths},
     {"requirements_vs_oracle", 1, check_requirements},
+    {"selection_agrees", 1, check_selection},
     {"faultsim_vs_oracle", 1, check_faultsim},
     {"backends_agree", 2, check_backends},
     {"atpg_primary_targets", 2, check_atpg},
