@@ -151,7 +151,7 @@ BnbResult BnbJustifier::justify(std::span<const ValueRequirement> reqs,
   support_ = support_inputs(cc_, reqs);
 
   if (cfg.use_implication_seed) {
-    const ImplicationResult imp = implication_.imply(reqs);
+    const ImplicationResult& imp = implication_.imply(reqs);
     if (!imp.consistent) return finish(BnbStatus::Unsatisfiable);
     for (std::size_t i = 0; i < cc_.inputs().size(); ++i) {
       const Triple& t = imp.values[cc_.inputs()[i]];

@@ -1,26 +1,21 @@
 #include "implication/implication.hpp"
 
-#include <deque>
 #include <stdexcept>
 
 namespace pdf {
 namespace {
 
-// Working state of one implication run.
+// Working state of one implication run over the engine's reused buffers.
 struct State {
   const CompiledCircuit& cc;
-  // value[plane][node]
-  std::vector<V3> value[3];
-  std::deque<std::pair<NodeId, int>> work;  // (node, plane) whose value was set
-  std::vector<bool> queued[3];
+  std::vector<V3>* value;    // value[plane][node]
+  std::vector<bool>* queued; // queued[plane][node]
+  // FIFO of (node, plane) whose value was set: entries before `head` are
+  // done. Each (node, plane) is set at most once per run, so it holds at
+  // most 3 × node_count entries.
+  std::vector<std::pair<NodeId, int>>& work;
+  std::size_t head = 0;
   bool conflict = false;
-
-  explicit State(const CompiledCircuit& c) : cc(c) {
-    for (int p = 0; p < 3; ++p) {
-      value[p].assign(c.node_count(), V3::X);
-      queued[p].assign(c.node_count(), false);
-    }
-  }
 
   V3 get(NodeId id, int plane) const { return value[plane][id]; }
 
@@ -122,10 +117,15 @@ void ImplicationEngine::init(const CompiledCircuit& cc) {
   }
 }
 
-ImplicationResult ImplicationEngine::imply(
-    std::span<const ValueRequirement> reqs) const {
+const ImplicationResult& ImplicationEngine::imply(
+    std::span<const ValueRequirement> reqs) {
   const CompiledCircuit& cc = *cc_;
-  State st(cc);
+  for (int p = 0; p < 3; ++p) {
+    value_[p].assign(cc.node_count(), V3::X);
+    queued_[p].assign(cc.node_count(), false);
+  }
+  work_.clear();
+  State st{cc, value_, queued_, work_};
 
   for (const auto& r : reqs) {
     st.assign(r.line, 0, r.value.a1);
@@ -134,9 +134,8 @@ ImplicationResult ImplicationEngine::imply(
     if (st.conflict) break;
   }
 
-  while (!st.work.empty() && !st.conflict) {
-    const auto [id, plane] = st.work.front();
-    st.work.pop_front();
+  while (st.head < st.work.size() && !st.conflict) {
+    const auto [id, plane] = st.work[st.head++];
     st.queued[plane][id] = false;
 
     // PI plane coupling.
@@ -163,15 +162,15 @@ ImplicationResult ImplicationEngine::imply(
     }
   }
 
-  ImplicationResult out;
-  out.consistent = !st.conflict;
-  if (out.consistent) {
-    out.values.resize(cc.node_count());
+  result_.consistent = !st.conflict;
+  result_.values.clear();
+  if (result_.consistent) {
+    result_.values.resize(cc.node_count());
     for (NodeId id = 0; id < cc.node_count(); ++id) {
-      out.values[id] = Triple{st.get(id, 0), st.get(id, 1), st.get(id, 2)};
+      result_.values[id] = Triple{st.get(id, 0), st.get(id, 1), st.get(id, 2)};
     }
   }
-  return out;
+  return result_;
 }
 
 }  // namespace pdf

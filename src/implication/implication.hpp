@@ -20,11 +20,13 @@
 //
 // Traversal runs on the flattened CompiledCircuit view (CSR fanin/fanout,
 // dense gate types); gate evaluation gathers fanin values into fixed stack
-// buffers, so the fixpoint loop performs no per-gate allocation.
+// buffers, and the per-plane values, the work queue and the result are
+// engine members reused across calls, so a warm engine allocates nothing.
 #pragma once
 
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "base/triple.hpp"
@@ -53,11 +55,13 @@ class ImplicationEngine {
   ImplicationEngine(const ImplicationEngine&) = delete;
   ImplicationEngine& operator=(const ImplicationEngine&) = delete;
 
-  /// Runs the fixpoint from the given requirements.
-  ImplicationResult imply(std::span<const ValueRequirement> reqs) const;
+  /// Runs the fixpoint from the given requirements. The result lives in the
+  /// engine and is overwritten by the next call; the working buffers are
+  /// reused too, so a warm engine allocates nothing.
+  const ImplicationResult& imply(std::span<const ValueRequirement> reqs);
 
   /// Convenience: true when implication finds a contradiction.
-  bool contradicts(std::span<const ValueRequirement> reqs) const {
+  bool contradicts(std::span<const ValueRequirement> reqs) {
     return !imply(reqs).consistent;
   }
 
@@ -66,6 +70,10 @@ class ImplicationEngine {
 
   std::optional<CompiledCircuit> owned_;
   const CompiledCircuit* cc_ = nullptr;
+  std::vector<V3> value_[3];      // per plane, per node
+  std::vector<bool> queued_[3];   // per plane, per node
+  std::vector<std::pair<NodeId, int>> work_;
+  ImplicationResult result_;
 };
 
 }  // namespace pdf

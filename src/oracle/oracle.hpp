@@ -22,6 +22,9 @@
 //     directly from the definition (launch transition, steady non-controlling
 //     side inputs under transitions-to-controlling, final-only non-controlling
 //     otherwise, implied on-path transitions).
+//   * Section 2.1 — justification assigns PI pattern bits greedily: probe
+//     every unspecified bit with 0 and 1, keep the value whose opposite
+//     conflicts with A, then decide one bit at random, with no backtracking.
 //   * Section 3.1 — the length of a path counts the lines it crosses: each
 //     node's output stem plus a branch line wherever the driver has more than
 //     one consumer (a primary-output tap counts as a consumer).
@@ -31,11 +34,14 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <vector>
 
+#include "atpg/justify.hpp"
 #include "atpg/test_pattern.hpp"
+#include "base/rng.hpp"
 #include "base/triple.hpp"
 #include "faults/fault.hpp"
 #include "faults/requirements.hpp"
@@ -166,5 +172,36 @@ std::size_t pick_secondary(std::span<const ValueRequirement> have,
                            std::span<const TargetFault> faults,
                            std::span<const std::size_t> order,
                            const std::vector<bool>& eligible);
+
+// ---- simulation-based justification (ref_justify.cpp) ----------------------
+
+/// One pattern-bit assignment made by `justify`, in the order it was made.
+struct JustifyEvent {
+  enum class Kind { Forced, Decision, Fill };
+  Kind kind;
+  int attempt;        // 0-based attempt within the call
+  std::uint64_t pass; // 1-based necessary-value pass of the attempt
+  std::size_t input;  // index into nl.inputs()
+  int plane;          // 0 = first pattern, 2 = second pattern
+  V3 value;
+};
+
+/// The paper's greedy justification of `reqs` (a conflict-free requirement
+/// list) with one full `simulate` per probe and no implication seeding. Per
+/// attempt: start from all-x PIs; probe every unspecified PI bit in the
+/// structural support of the required lines (ascending input, first pattern
+/// then second) with 0 and 1 — both conflicting fails the attempt, exactly
+/// one forces the other value — until a pass forces nothing; then decide
+/// (the first half-specified input is made steady, otherwise a random free
+/// support bit gets a random value) and repeat. Bits outside the support
+/// get random values last. Draws from `rng` exactly as
+/// `JustificationEngine` with `use_implication_seed = false` and
+/// `max_attempts` does, and counts into `stats` the same way. `trace`, when
+/// given, receives every assignment.
+std::optional<TwoPatternTest> justify(const Netlist& nl,
+                                      std::span<const ValueRequirement> reqs,
+                                      Rng& rng, JustifyStats& stats,
+                                      int max_attempts = 1,
+                                      std::vector<JustifyEvent>* trace = nullptr);
 
 }  // namespace pdf::oracle

@@ -29,11 +29,13 @@
 // instruction on hosts without AVX. Internal linkage gives every TU its own
 // copy compiled with its own flags, which is the whole point of per-TU
 // flags. Only the three packed backend .cpp files may include this header.
+// The per-gate plane algebra itself lives in sim/packed_eval.hpp, shared
+// (under the same internal-linkage rule) with the justifier's lane-batched
+// probing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,6 +47,7 @@
 #include "runtime/per_worker.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
+#include "sim/packed_eval.hpp"
 #include "sim/prepared.hpp"
 #include "sim/triple_sim.hpp"
 
@@ -56,7 +59,6 @@ template <typename Vec>
 struct VecOps {
   static constexpr std::size_t kSubwords = sizeof(Vec) / sizeof(std::uint64_t);
   static constexpr std::size_t kLanes = kSubwords * 64;
-  static Vec ones() { return ~Vec{}; }
   static std::uint64_t sub(const Vec& v, std::size_t k) { return v[k]; }
   static void or_sub(Vec& v, std::size_t k, std::uint64_t bits) {
     v[k] |= bits;
@@ -75,7 +77,6 @@ template <>
 struct VecOps<std::uint64_t> {
   static constexpr std::size_t kSubwords = 1;
   static constexpr std::size_t kLanes = 64;
-  static std::uint64_t ones() { return ~std::uint64_t{0}; }
   static std::uint64_t sub(std::uint64_t v, std::size_t) { return v; }
   static void or_sub(std::uint64_t& v, std::size_t, std::uint64_t bits) {
     v |= bits;
@@ -84,14 +85,6 @@ struct VecOps<std::uint64_t> {
     v ^= bits;
   }
   static bool any(std::uint64_t v) { return v != 0; }
-};
-
-/// One 3-valued signal across kLanes tests: a bit of `value` is meaningful
-/// (and may be 1) only where the matching `known` bit is set.
-template <typename Vec>
-struct PlaneVec {
-  Vec value{};
-  Vec known{};
 };
 
 /// Mask with the low `lanes` lane bits set (full words in low subwords, one
@@ -123,7 +116,6 @@ void simulate_wide_word(const CompiledCircuit& cc, const PackedTests& pt,
                         std::size_t w, std::size_t lanes,
                         PlaneVec<Vec>* const planes[3]) {
   using Ops = VecOps<Vec>;
-  const Vec kAll = Ops::ones();
   const std::span<const NodeId> inputs = cc.inputs();
 
   for (std::size_t i = 0; i < inputs.size(); ++i) {
@@ -174,72 +166,8 @@ void simulate_wide_word(const CompiledCircuit& cc, const PackedTests& pt,
   // Word-parallel 3-valued evaluation per plane, level-packed over the
   // compiled arrays.
   for (NodeId id : cc.topo_order()) {
-    const GateType t = cc.type(id);
-    if (t == GateType::Input) continue;
-    const std::span<const NodeId> fanin = cc.fanins(id);
-    for (int q = 0; q < 3; ++q) {
-      auto& out = planes[q][id];
-      switch (t) {
-        case GateType::Buf:
-        case GateType::Not: {
-          const PlaneVec<Vec>& a = planes[q][fanin[0]];
-          out.known = a.known;
-          out.value = t == GateType::Not ? (~a.value & a.known)
-                                         : (a.value & a.known);
-          break;
-        }
-        case GateType::And:
-        case GateType::Nand: {
-          Vec all_one = kAll;  // every fanin known-1
-          Vec any_zero{};      // some fanin known-0
-          for (NodeId f : fanin) {
-            const PlaneVec<Vec>& a = planes[q][f];
-            all_one &= a.value & a.known;
-            any_zero |= ~a.value & a.known;
-          }
-          Vec one = all_one & ~any_zero;
-          Vec zero = any_zero;
-          if (t == GateType::Nand) std::swap(one, zero);
-          out.known = one | zero;
-          out.value = one;
-          break;
-        }
-        case GateType::Or:
-        case GateType::Nor: {
-          Vec any_one{};
-          Vec all_zero = kAll;
-          for (NodeId f : fanin) {
-            const PlaneVec<Vec>& a = planes[q][f];
-            any_one |= a.value & a.known;
-            all_zero &= ~a.value & a.known;
-          }
-          Vec one = any_one;
-          Vec zero = all_zero & ~any_one;
-          if (t == GateType::Nor) std::swap(one, zero);
-          out.known = one | zero;
-          out.value = one;
-          break;
-        }
-        case GateType::Xor:
-        case GateType::Xnor: {
-          // xor3 is x as soon as any input is x: known = AND over fanin
-          // known, value = parity of the known values, masked to known.
-          Vec known = kAll;
-          Vec parity{};
-          for (NodeId f : fanin) {
-            const PlaneVec<Vec>& a = planes[q][f];
-            known &= a.known;
-            parity ^= a.value;
-          }
-          out.known = known;
-          out.value = (t == GateType::Xnor ? ~parity : parity) & known;
-          break;
-        }
-        default:
-          throw std::logic_error("wide backend: unsupported gate " +
-                                 cc.netlist().node(id).name);
-      }
-    }
+    if (cc.type(id) == GateType::Input) continue;
+    for (int q = 0; q < 3; ++q) eval_packed_gate(cc, id, planes[q]);
   }
 }
 

@@ -1,5 +1,6 @@
 #include "sim/event_sim.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -31,6 +32,7 @@ void EventSim::init(const CompiledCircuit& cc) {
     if (cc.type(id) == GateType::Input) continue;
     value_[id] = eval_node_triple(cc, id, value_.data());
   }
+  all_x_value_ = value_;
 }
 
 const Triple& EventSim::pi(std::size_t input_index) const {
@@ -114,9 +116,8 @@ void EventSim::reset() {
   if (txn_depth_ > 0) throw std::logic_error("EventSim::reset inside a transaction");
   undo_log_.clear();
   clear_requirements();
-  for (std::size_t i = 0; i < pi_value_.size(); ++i) {
-    if (!(pi_value_[i] == kAllX)) set_pi(i, kAllX);
-  }
+  std::copy(all_x_value_.begin(), all_x_value_.end(), value_.begin());
+  std::fill(pi_value_.begin(), pi_value_.end(), kAllX);
 }
 
 void EventSim::add_requirement(NodeId id, const Triple& required) {

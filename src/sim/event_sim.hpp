@@ -1,9 +1,12 @@
 // Event-driven incremental triple simulator with transactional rollback.
 //
-// This is the engine behind the paper's necessary-value probing (Section
-// 2.1): the justification procedure repeatedly asks "if I set this PI bit to
-// v, does any value required by A conflict?". A full resimulation per probe
-// would dominate runtime, so this simulator
+// The justifiers' assignment engine (paper Section 2.1): after each PI bit
+// they fix, they ask "does any value required by A conflict, and is A
+// complete?". The branch-and-bound justifier also probes through it ("if I
+// set this PI bit to v, does A conflict?"); the greedy justifier probes 64
+// lanes at a time on the packed kernel instead and only applies its forced
+// bits and decisions here. A full resimulation per question would dominate
+// runtime, so this simulator
 //   * keeps the triple of every node up to date under the current PI
 //     assignment,
 //   * propagates a PI change through its fanout cone only, in level order
@@ -51,7 +54,9 @@ class EventSim {
   /// propagates. Changes are recorded for rollback if a transaction is open.
   void set_pi(std::size_t input_index, const Triple& t);
 
-  /// Resets every PI to xxx and clears all requirements. Not undoable.
+  /// Resets every PI to xxx and clears all requirements: node values are
+  /// restored from the all-xxx snapshot taken at construction, with no
+  /// propagation. Not undoable.
   void reset();
 
   const Triple& pi(std::size_t input_index) const;
@@ -103,8 +108,6 @@ class EventSim {
   void init(const CompiledCircuit& cc);
   void propagate(NodeId from);
   void set_node_value(NodeId id, const Triple& v);
-  void update_counters_for(NodeId id, const Triple& old_req, bool had_old,
-                           const Triple& old_val);
   // Recomputes the counter contribution of line `id` given its old
   // requirement/value status already subtracted.
   void add_counter_contribution(NodeId id);
@@ -113,6 +116,7 @@ class EventSim {
   std::optional<CompiledCircuit> owned_;  // set by the Netlist constructor
   const CompiledCircuit* cc_;
   std::vector<Triple> value_;
+  std::vector<Triple> all_x_value_;  // value_ with every PI at xxx (reset)
   std::vector<Triple> pi_value_;
 
   std::vector<Triple> required_;

@@ -5,11 +5,6 @@
 
 namespace pdf {
 
-Triple pi_triple(V3 b1, V3 b3) {
-  const V3 mid = (is_specified(b1) && b1 == b3) ? b1 : V3::X;
-  return Triple{b1, mid, b3};
-}
-
 std::vector<Triple> simulate(const Netlist& nl, std::span<const Triple> pi_values) {
   SimScratch scratch;
   simulate(CompiledCircuit(nl), pi_values, scratch);

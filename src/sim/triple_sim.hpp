@@ -33,7 +33,10 @@ namespace pdf {
 /// Derives a primary-input triple from its two decision bits (first/second
 /// pattern values). The intermediate value is b1 when b1 == b3 and both are
 /// specified, x otherwise.
-Triple pi_triple(V3 b1, V3 b3);
+inline Triple pi_triple(V3 b1, V3 b3) {
+  const V3 mid = (is_specified(b1) && b1 == b3) ? b1 : V3::X;
+  return Triple{b1, mid, b3};
+}
 
 /// Simulates the whole netlist (compiles a view, then runs the compiled
 /// overload). `pi_values[i]` is the triple of nl.inputs()[i]. Returns one

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "enrich/target_sets.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
+#include "oracle/oracle.hpp"
 #include "paths/enumerate.hpp"
 #include "testutil/circuits.hpp"
 
@@ -160,6 +162,50 @@ TEST(Justify, RetriesImproveSuccessOdds) {
   }
   EXPECT_GE(ok_many, ok_one);
 }
+
+// The lane-batched prober against the one-simulation-per-probe reference on
+// 200 P0 faults of s1196_like, in four chunks of 50 that ctest runs in
+// parallel (the reference is slow under sanitizers). Per chunk: same seed,
+// same order of requirement sets, so every test byte, every RNG draw and
+// every JustifyStats count must agree.
+class JustifyVsReference : public ::testing::TestWithParam<int> {};
+
+TEST_P(JustifyVsReference, MatchesOnP0Faults) {
+  const Netlist nl = benchmark_circuit("s1196_like");
+  TargetSetConfig tcfg;
+  tcfg.n_p = 4000;
+  tcfg.n_p0 = 300;
+  const TargetSets ts = build_target_sets(nl, tcfg);
+  ASSERT_GE(ts.p0.size(), 200u);
+  const std::size_t begin = 50 * static_cast<std::size_t>(GetParam());
+  const std::uint64_t seed = 17 + static_cast<std::uint64_t>(GetParam());
+  JustificationEngine eng(nl, seed);
+  Rng ref_rng(seed);
+  JustifyStats ref_stats;
+  JustifyConfig cfg;
+  cfg.use_implication_seed = false;
+  std::size_t successes = 0;
+  for (std::size_t i = begin; i < begin + 50; ++i) {
+    const auto& reqs = ts.p0[i].requirements;
+    const auto got = eng.justify(reqs, cfg);
+    const auto want = oracle::justify(nl, reqs, ref_rng, ref_stats);
+    ASSERT_EQ(got.has_value(), want.has_value()) << "fault " << i;
+    if (got) {
+      ASSERT_EQ(got->pi_values, want->pi_values) << "fault " << i;
+      ++successes;
+    }
+    const JustifyStats& s = eng.stats();
+    ASSERT_EQ(s.probes, ref_stats.probes) << "fault " << i;
+    ASSERT_EQ(s.passes, ref_stats.passes) << "fault " << i;
+    ASSERT_EQ(s.decisions, ref_stats.decisions) << "fault " << i;
+    ASSERT_EQ(s.attempts, ref_stats.attempts) << "fault " << i;
+    ASSERT_EQ(s.successes, ref_stats.successes) << "fault " << i;
+    ASSERT_EQ(s.failures, ref_stats.failures) << "fault " << i;
+  }
+  EXPECT_GT(successes, 25u);
+}
+
+INSTANTIATE_TEST_SUITE_P(S1196P0, JustifyVsReference, ::testing::Range(0, 4));
 
 TEST(Justify, StatsAccumulate) {
   const Netlist nl = testutil::tiny_and_or();

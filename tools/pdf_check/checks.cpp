@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "atpg/generator.hpp"
+#include "atpg/justify.hpp"
 #include "atpg/selection.hpp"
 #include "atpg/test_pattern.hpp"
 #include "base/rng.hpp"
@@ -316,6 +317,133 @@ std::optional<std::string> check_selection(const Netlist& nl,
         return where + "requirement union differs from the reference merge";
       }
     }
+  }
+  return std::nullopt;
+}
+
+// ---- differential: greedy justification ------------------------------------
+
+/// "probes 12 vs 14, passes 3 vs 4" over the JustifyStats fields that differ.
+std::string stats_diff(const JustifyStats& a, const JustifyStats& b) {
+  std::string out;
+  const auto field = [&](const char* name, std::uint64_t x, std::uint64_t y) {
+    if (x == y) return;
+    if (!out.empty()) out += ", ";
+    out += std::string(name) + " " + std::to_string(x) + " vs " +
+           std::to_string(y);
+  };
+  field("attempts", a.attempts, b.attempts);
+  field("probes", a.probes, b.probes);
+  field("passes", a.passes, b.passes);
+  field("decisions", a.decisions, b.decisions);
+  field("successes", a.successes, b.successes);
+  field("failures", a.failures, b.failures);
+  return out;
+}
+
+std::optional<std::string> check_justify(const Netlist& nl, std::uint64_t seed) {
+  // Requirement sets: the robust path faults of the longest paths, then
+  // conflict-free unions of them — what secondary selection hands the
+  // justifier — then random triples, one per line. A path requirement that
+  // specifies the intermediate plane is steady, and a steady line whose
+  // intermediate value is known is known at that value in both patterns,
+  // so path sets never show a conflict on the intermediate plane alone;
+  // the random triples (e.g. x1x) do.
+  const LineDelayModel dm(nl);
+  EnumerationConfig ecfg;
+  ecfg.max_faults = 40;
+  std::vector<std::vector<ValueRequirement>> sets;
+  for (const auto& f :
+       faults_for_paths(enumerate_longest_paths(dm, ecfg).paths)) {
+    FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+    if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
+  }
+  Rng rng(mix(seed, 0x1f));
+  const std::size_t singles = sets.size();
+  for (int k = 0; k < 10 && singles > 0; ++k) {
+    std::vector<ValueRequirement> u = sets[rng.below(singles)];
+    for (int m = 0; m < 3; ++m) {
+      const auto& more = sets[rng.below(singles)];
+      if (!oracle::conflicts(u, more)) u = oracle::merge(u, more);
+    }
+    sets.push_back(std::move(u));
+  }
+  static const V3 kValues[] = {V3::Zero, V3::One, V3::X};
+  for (int k = 0; k < 10; ++k) {
+    std::map<NodeId, Triple> lines;
+    const std::size_t n = 1 + rng.below(4);
+    for (std::size_t j = 0; j < n; ++j) {
+      Triple t{kValues[rng.below(3)], kValues[rng.below(3)],
+               kValues[rng.below(3)]};
+      if (t.all_x()) t.a2 = kValues[rng.below(2)];
+      lines.emplace(static_cast<NodeId>(rng.below(nl.node_count())), t);
+    }
+    std::vector<ValueRequirement> reqs;
+    for (const auto& [line, value] : lines) reqs.push_back({line, value});
+    sets.push_back(std::move(reqs));
+  }
+
+  // One engine and one reference generator across every set, as in the
+  // generator: a divergence in RNG draws shows up on later sets too.
+  const std::uint64_t jseed = mix(seed, 0x1e);
+  JustificationEngine engine(nl, jseed);
+  Rng ref_rng(jseed);
+  JustifyStats ref_stats;
+  JustifyConfig cfg;
+  cfg.use_implication_seed = false;
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    cfg.max_attempts = 1 + static_cast<int>(rng.below(2));
+    std::vector<oracle::JustifyEvent> trace;
+    const auto got = engine.justify(sets[k], cfg);
+    const auto want = oracle::justify(nl, sets[k], ref_rng, ref_stats,
+                                      cfg.max_attempts, &trace);
+    const std::string counts = stats_diff(engine.stats(), ref_stats);
+    const bool same_test = got.has_value() == want.has_value() &&
+                           (!got || got->pi_values == want->pi_values);
+    if (same_test && counts.empty()) continue;
+
+    // Localize: the first assignment of the reference's final attempt that
+    // the engine's test contradicts, else the reference's last assignment.
+    const auto bit_name = [&](const oracle::JustifyEvent& e) {
+      return nl.node(nl.inputs()[e.input]).name +
+             (e.plane == 0 ? " (first pattern)" : " (second pattern)");
+    };
+    const auto kind_name = [](oracle::JustifyEvent::Kind kind) {
+      switch (kind) {
+        case oracle::JustifyEvent::Kind::Forced: return "forced";
+        case oracle::JustifyEvent::Kind::Decision: return "decided";
+        case oracle::JustifyEvent::Kind::Fill: return "filled";
+      }
+      return "assigned";
+    };
+    std::string where;
+    if (got && want) {
+      for (const auto& e : trace) {
+        if (e.attempt != trace.back().attempt) continue;
+        const Triple& t = got->pi_values[e.input];
+        const V3 have = e.plane == 0 ? t.a1 : t.a3;
+        if (have == e.value) continue;
+        where = "attempt " + std::to_string(e.attempt) + " pass " +
+                std::to_string(e.pass) + ", bit " + bit_name(e) +
+                ": reference " + kind_name(e.kind) + " " + to_char(e.value) +
+                ", engine's test has " + to_char(have);
+        break;
+      }
+    } else if (!trace.empty()) {
+      const auto& e = trace.back();
+      where = "reference's last assignment: attempt " +
+              std::to_string(e.attempt) + " pass " + std::to_string(e.pass) +
+              ", bit " + bit_name(e) + " " + kind_name(e.kind) + " " +
+              to_char(e.value);
+    }
+    std::string msg = "justify: requirement set " + std::to_string(k) +
+                      " (" + std::to_string(sets[k].size()) +
+                      " requirements): engine " +
+                      (got ? "succeeded" : "failed") + ", reference " +
+                      (want ? "succeeded" : "failed");
+    if (!counts.empty()) msg += "; stats engine vs reference: " + counts;
+    if (!where.empty()) msg += "; " + where;
+    return msg;
   }
   return std::nullopt;
 }
@@ -651,6 +779,7 @@ constexpr Check kChecks[] = {
     {"paths_vs_oracle", 1, check_paths},
     {"requirements_vs_oracle", 1, check_requirements},
     {"selection_agrees", 1, check_selection},
+    {"justify_agrees", 1, check_justify},
     {"faultsim_vs_oracle", 1, check_faultsim},
     {"backends_agree", 2, check_backends},
     {"atpg_primary_targets", 2, check_atpg},
