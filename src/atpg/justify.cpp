@@ -1,7 +1,8 @@
 #include "atpg/justify.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <climits>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
@@ -11,45 +12,47 @@
 namespace pdf {
 namespace {
 
-/// Probed bits per batch: each takes two of the 64 lanes (value 0, value 1).
-constexpr std::size_t kBatchBits = 32;
+constexpr std::uint64_t kAllLanes = ~std::uint64_t{0};
 
-/// A plane value broadcast to all 64 lanes.
-void broadcast(V3 v, std::uint64_t& value, std::uint64_t& known) {
-  known = is_specified(v) ? ~std::uint64_t{0} : 0;
-  value = v == V3::One ? ~std::uint64_t{0} : 0;
-}
-
-/// Overwrites lane bit(s) `lane` of a plane with `v`.
-void set_lane(V3 v, std::uint64_t lane, std::uint64_t& value,
-              std::uint64_t& known) {
-  known = is_specified(v) ? known | lane : known & ~lane;
-  value = v == V3::One ? value | lane : value & ~lane;
+/// One pattern bit of a PI in lane word `w`: its value on every lane when
+/// specified; otherwise x, except on the bit's own lanes 2j (value 0) and
+/// 2j+1 (value 1) when they fall in this word.
+void bit_lanes(V3 v, int j, std::size_t w, std::uint64_t& value,
+               std::uint64_t& known) {
+  if (is_specified(v)) {
+    known = kAllLanes;
+    value = v == V3::One ? kAllLanes : 0;
+    return;
+  }
+  known = value = 0;
+  if (j >= 0 && static_cast<std::size_t>(2 * j) / 64 == w) {
+    const unsigned shift = static_cast<unsigned>(2 * j) % 64;
+    known = std::uint64_t{3} << shift;
+    value = std::uint64_t{2} << shift;
+  }
 }
 
 }  // namespace
 
 JustificationEngine::JustificationEngine(const Netlist& nl, std::uint64_t seed)
-    : cc_(nl), sim_(cc_), implication_(cc_), rng_(seed) {
+    : cc_(nl), implication_(cc_), rng_(seed) {
   bit1_.assign(cc_.inputs().size(), V3::X);
   bit3_.assign(cc_.inputs().size(), V3::X);
-  in_support_.assign(cc_.inputs().size(), false);
+  lane_bit1_.assign(cc_.inputs().size(), -1);
+  lane_bit3_.assign(cc_.inputs().size(), -1);
   visit_mark_.assign(cc_.node_count(), 0);
-  for (auto& plane : lanes_) plane.assign(cc_.node_count(), LanePlane{});
+  want1_.assign(cc_.node_count(), 0);
+  want0_.assign(cc_.node_count(), 0);
+  queued_.assign(cc_.node_count(), 0);
+  buckets_.resize(static_cast<std::size_t>(cc_.depth()) + 1);
 }
 
 bool JustificationEngine::bit_specified(std::size_t input, int plane) const {
   return is_specified(plane == 0 ? bit1_[input] : bit3_[input]);
 }
 
-void JustificationEngine::apply_bit(std::size_t input, int plane, V3 v) {
-  (plane == 0 ? bit1_[input] : bit3_[input]) = v;
-  sim_.set_pi(input, pi_triple(bit1_[input], bit3_[input]));
-}
-
 void JustificationEngine::compute_support(
     std::span<const ValueRequirement> reqs) {
-  std::fill(in_support_.begin(), in_support_.end(), false);
   support_inputs_.clear();
   std::fill(visit_mark_.begin(), visit_mark_.end(), 0);
   stack_.clear();
@@ -63,10 +66,7 @@ void JustificationEngine::compute_support(
     const NodeId id = stack_.back();
     stack_.pop_back();
     if (const int idx = cc_.input_index(id); idx >= 0) {
-      if (!in_support_[static_cast<std::size_t>(idx)]) {
-        in_support_[static_cast<std::size_t>(idx)] = true;
-        support_inputs_.push_back(static_cast<std::size_t>(idx));
-      }
+      support_inputs_.push_back(static_cast<std::size_t>(idx));
     }
     for (NodeId f : cc_.fanins(id)) {
       if (!visit_mark_[f]) {
@@ -84,104 +84,181 @@ void JustificationEngine::compute_support(
   }
 }
 
-std::uint64_t JustificationEngine::probe_batch(
-    std::span<const ValueRequirement> reqs, std::size_t first,
-    std::size_t count) {
-  LanePlane* const planes[3] = {lanes_[0].data(), lanes_[1].data(),
-                                lanes_[2].data()};
-  const auto skip_plane = [&](int q) { return q == 1 && !hazard_plane_; };
-  // Every lane starts from the current assignment of the support inputs...
-  for (std::size_t input : support_inputs_) {
-    const Triple t = pi_triple(bit1_[input], bit3_[input]);
-    const V3 comps[3] = {t.a1, t.a2, t.a3};
-    const NodeId id = cc_.inputs()[input];
-    for (int q = 0; q < 3; ++q) {
-      broadcast(comps[q], planes[q][id].value, planes[q][id].known);
-    }
+void JustificationEngine::write_input_lanes(std::size_t input) {
+  const NodeId id = cc_.inputs()[input];
+  for (std::size_t w = 0; w < words_; ++w) {
+    LanePlane& p0 = plane_word(0, w)[id];
+    LanePlane& p1 = plane_word(1, w)[id];
+    LanePlane& p2 = plane_word(2, w)[id];
+    bit_lanes(bit1_[input], lane_bit1_[input], w, p0.value, p0.known);
+    bit_lanes(bit3_[input], lane_bit3_[input], w, p2.value, p2.known);
+    // pi_triple per lane: the intermediate value is the pattern value where
+    // both patterns are known and agree.
+    p1.known = p0.known & p2.known & ~(p0.value ^ p2.value);
+    p1.value = p0.value & p1.known;
   }
-  // ...then lanes 2j and 2j+1 set probed bit j to 0 and to 1.
-  for (std::size_t j = 0; j < count; ++j) {
-    const Bit b = pass_bits_[first + j];
-    const NodeId id = cc_.inputs()[b.input];
-    for (const V3 v : {V3::Zero, V3::One}) {
-      const Triple t = b.plane == 0 ? pi_triple(v, bit3_[b.input])
-                                    : pi_triple(bit1_[b.input], v);
-      const V3 comps[3] = {t.a1, t.a2, t.a3};
-      const std::uint64_t lane = std::uint64_t{1}
-                                 << (2 * j + (v == V3::One ? 1 : 0));
-      for (int q = 0; q < 3; ++q) {
-        set_lane(comps[q], lane, planes[q][id].value, planes[q][id].known);
-      }
-    }
-  }
+}
 
-  for (int q = 0; q < 3; ++q) {
-    if (skip_plane(q)) continue;
-    for (NodeId id : cone_gates_) sim::eval_packed_gate(cc_, id, planes[q]);
-  }
-
-  // A lane conflicts when some required line is known opposite to a
-  // specified required component, on any plane.
-  std::uint64_t conflict = 0;
-  for (const auto& r : reqs) {
-    const V3 want[3] = {r.value.a1, r.value.a2, r.value.a3};
+void JustificationEngine::record_conflicts(NodeId id) {
+  const std::uint8_t w1 = want1_[id];
+  const std::uint8_t w0 = want0_[id];
+  if ((w1 | w0) == 0) return;
+  for (std::size_t w = 0; w < words_; ++w) {
+    std::uint64_t c = 0;
     for (int q = 0; q < 3; ++q) {
 #ifdef PATHDELAY_MUTATION_LANE_HAZARD_PLANE
       // Seeded bug (mutation testing only): the lane conflict mask ignores
       // the intermediate (hazard) plane, so a probe that only breaks a
       // hazard-freedom demand is not seen as a conflict. The final
-      // violations/unsatisfied check still rejects invalid tests, so only
-      // the justifier's decisions change — justify_agrees must catch it.
+      // from-scratch check still rejects invalid tests, so only the
+      // justifier's decisions change — justify_agrees must catch it.
       if (q == 1) continue;
 #endif
-      if (!is_specified(want[q]) || skip_plane(q)) continue;
-      const LanePlane& w = planes[q][r.line];
-      conflict |= w.known & (want[q] == V3::One ? ~w.value : w.value);
+      if (!plane_simulated(q)) continue;
+      const LanePlane& p = plane_word(q, w)[id];
+      if ((w1 >> q) & 1) c |= p.known & ~p.value;
+      if ((w0 >> q) & 1) c |= p.value;  // a value bit implies its known bit
     }
+    conflict_[w] |= c;
   }
-  const std::uint64_t used = 2 * count == 64
-                                 ? ~std::uint64_t{0}
-                                 : (std::uint64_t{1} << (2 * count)) - 1;
-  return conflict & used;
 }
 
-bool JustificationEngine::necessary_passes(
-    std::span<const ValueRequirement> reqs) {
-  static auto& batches =
-      runtime::Metrics::global().counter("atpg.justify.probe_batches");
+void JustificationEngine::init_lanes(std::span<const ValueRequirement> reqs) {
+  lane_bits_.clear();
+  for (std::size_t input : support_inputs_) {
+    lane_bit1_[input] = lane_bit3_[input] = -1;
+    if (!bit_specified(input, 0)) {
+      lane_bit1_[input] = static_cast<int>(lane_bits_.size());
+      lane_bits_.push_back({input, 0});
+    }
+    if (!bit_specified(input, 2)) {
+      lane_bit3_[input] = static_cast<int>(lane_bits_.size());
+      lane_bits_.push_back({input, 2});
+    }
+  }
+  // Two lanes per bit plus the reference lane at 2 * lane_bits_.size().
+  words_ = (2 * lane_bits_.size() + 1 + 63) / 64;
+  const std::size_t need = words_ * cc_.node_count();
+  for (auto& plane : lanes_) {
+    if (plane.size() < need) plane.resize(need);
+  }
+  conflict_.assign(words_, 0);
+
+  for (std::size_t input : support_inputs_) write_input_lanes(input);
+  for (std::size_t w = 0; w < words_; ++w) {
+    for (int q = 0; q < 3; ++q) {
+      if (!plane_simulated(q)) continue;
+      LanePlane* const plane = plane_word(q, w);
+      for (NodeId id : cone_gates_) sim::eval_packed_gate(cc_, id, plane);
+    }
+  }
+  lane_gate_evals_ += words_ * cone_gates_.size();
+  for (const auto& r : reqs) record_conflicts(r.line);
+}
+
+void JustificationEngine::apply_bit(std::size_t input, int plane, V3 v) {
+  (plane == 0 ? bit1_[input] : bit3_[input]) = v;
+  ++lane_updates_;
+  write_input_lanes(input);
+  const NodeId pi = cc_.inputs()[input];
+  record_conflicts(pi);
+
+  // Re-evaluate the PI's fanout inside the cone, level by level, so each
+  // gate is evaluated once, after all of its changed fanins.
+  int lo = INT_MAX;
+  int hi = -1;
+  const auto enqueue_fanouts = [&](NodeId id) {
+    for (NodeId f : cc_.fanouts(id)) {
+      if (!visit_mark_[f] || queued_[f]) continue;
+      queued_[f] = 1;
+      const int level = cc_.level(f);
+      buckets_[static_cast<std::size_t>(level)].push_back(f);
+      lo = std::min(lo, level);
+      hi = std::max(hi, level);
+    }
+  };
+  enqueue_fanouts(pi);
+#ifdef PATHDELAY_MUTATION_LANE_STALE_FANOUT
+  // Seeded bug (mutation testing only): the update skips the first gate it
+  // dequeues, leaving that gate and its fanout stale on every lane. The
+  // final from-scratch check still rejects invalid tests, so only the
+  // justifier's decisions change — justify_agrees must catch it.
+  bool skip = true;
+#endif
+  for (int level = lo; level <= hi; ++level) {
+    std::vector<NodeId>& bucket = buckets_[static_cast<std::size_t>(level)];
+    for (NodeId id : bucket) {
+      queued_[id] = 0;
+#ifdef PATHDELAY_MUTATION_LANE_STALE_FANOUT
+      if (std::exchange(skip, false)) continue;
+#endif
+      bool changed = false;
+      for (std::size_t w = 0; w < words_; ++w) {
+        for (int q = 0; q < 3; ++q) {
+          if (!plane_simulated(q)) continue;
+          LanePlane* const lanes = plane_word(q, w);
+          const LanePlane before = lanes[id];
+          sim::eval_packed_gate(cc_, id, lanes);
+          changed |= lanes[id].value != before.value ||
+                     lanes[id].known != before.known;
+        }
+      }
+      lane_gate_evals_ += words_;
+      if (!changed) continue;
+      record_conflicts(id);
+      enqueue_fanouts(id);
+    }
+    bucket.clear();
+  }
+}
+
+bool JustificationEngine::necessary_passes() {
   bool progress = true;
   while (progress) {
     progress = false;
     ++stats_.passes;
-    pass_bits_.clear();
-    for (std::size_t input : support_inputs_) {
-      for (int plane : {0, 2}) {
-        if (!bit_specified(input, plane)) pass_bits_.push_back({input, plane});
+    // Scan the lanes in probing order. A forced bit is applied at once, so
+    // every later bit of the pass is read against the updated state.
+    for (std::size_t j = 0; j < lane_bits_.size(); ++j) {
+      const Bit b = lane_bits_[j];
+      if (bit_specified(b.input, b.plane)) continue;
+      stats_.probes += 2;
+      const bool c0 = lane_conflicts(2 * j);
+      const bool c1 = lane_conflicts(2 * j + 1);
+      if (c0 && c1) return false;
+      if (c0 != c1) {
+        apply_bit(b.input, b.plane, c0 ? V3::One : V3::Zero);
+        if (ref_conflicts()) return false;
+        progress = true;
       }
     }
-    // Scan the lanes in probing order. A forced bit changes the state every
-    // later probe of the pass sees, so the pass re-batches after it.
-    std::size_t next = 0;
-    while (next < pass_bits_.size()) {
-      const std::size_t first = next;
-      const std::size_t count =
-          std::min(kBatchBits, pass_bits_.size() - first);
-      const std::uint64_t conflicts = probe_batch(reqs, first, count);
-      batches.add();
-      next = first + count;
-      for (std::size_t j = 0; j < count; ++j) {
-        stats_.probes += 2;
-        const bool c0 = (conflicts >> (2 * j)) & 1;
-        const bool c1 = (conflicts >> (2 * j + 1)) & 1;
-        if (c0 && c1) return false;
-        if (c0 != c1) {
-          const Bit b = pass_bits_[first + j];
-          apply_bit(b.input, b.plane, c0 ? V3::One : V3::Zero);
-          if (sim_.violations() > 0) return false;
-          progress = true;
-          next = first + j + 1;
-          break;
-        }
+  }
+  return true;
+}
+
+bool JustificationEngine::satisfies(std::span<const ValueRequirement> reqs) {
+  // Word 0 of each plane, every lane holding the finished assignment; the
+  // incremental lane state is dead by now and is not read.
+  LanePlane* const planes[3] = {plane_word(0, 0), plane_word(1, 0),
+                                plane_word(2, 0)};
+  for (std::size_t input : support_inputs_) {
+    const Triple t = pi_triple(bit1_[input], bit3_[input]);
+    const NodeId id = cc_.inputs()[input];
+    for (int q = 0; q < 3; ++q) {
+      bit_lanes(t[q], -1, 0, planes[q][id].value, planes[q][id].known);
+    }
+  }
+  for (int q = 0; q < 3; ++q) {
+    for (NodeId id : cone_gates_) sim::eval_packed_gate(cc_, id, planes[q]);
+  }
+  lane_gate_evals_ += cone_gates_.size();
+  for (const auto& r : reqs) {
+    for (int q = 0; q < 3; ++q) {
+      const V3 want = r.value[q];
+      if (!is_specified(want)) continue;
+      const LanePlane& have = planes[q][r.line];
+      if (!(have.known & 1) || (have.value & 1) != (want == V3::One ? 1u : 0u)) {
+        return false;
       }
     }
   }
@@ -191,12 +268,24 @@ bool JustificationEngine::necessary_passes(
 bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
                                   const JustifyConfig& cfg) {
   ++stats_.attempts;
-  sim_.reset();
   std::fill(bit1_.begin(), bit1_.end(), V3::X);
   std::fill(bit3_.begin(), bit3_.end(), V3::X);
 
-  for (const auto& r : reqs) sim_.add_requirement(r.line, r.value);
-  if (sim_.violations() > 0) return false;
+  // Implication first: it needs neither the support nor the lanes, and
+  // nothing before the decisions draws from the RNG, so rejecting here
+  // changes no outcome.
+  if (cfg.use_implication_seed) {
+    const ImplicationResult& imp = implication_.imply(reqs);
+    if (!imp.consistent) {
+      ++reject_implication_;
+      return false;
+    }
+    for (std::size_t i = 0; i < cc_.inputs().size(); ++i) {
+      const Triple& t = imp.values[cc_.inputs()[i]];
+      bit1_[i] = t.a1;
+      bit3_[i] = t.a3;
+    }
+  }
 
   compute_support(reqs);
   // A PI's intermediate value is x or equal to both of its pattern values,
@@ -209,21 +298,12 @@ bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
     const V3 mid = r.value.a2;
     return is_specified(mid) && r.value.a1 != mid && r.value.a3 != mid;
   });
-
-  if (cfg.use_implication_seed) {
-    const ImplicationResult& imp = implication_.imply(reqs);
-    if (!imp.consistent) return false;
-    for (std::size_t i = 0; i < cc_.inputs().size(); ++i) {
-      const Triple& t = imp.values[cc_.inputs()[i]];
-      if (is_specified(t.a1)) apply_bit(i, 0, t.a1);
-      if (is_specified(t.a3)) apply_bit(i, 2, t.a3);
-    }
-    if (sim_.violations() > 0) return false;
-  }
+  init_lanes(reqs);
+  if (ref_conflicts()) return false;
 
   // Main loop: necessary values to fixpoint, then one decision, repeat.
   for (;;) {
-    if (!necessary_passes(reqs)) return false;
+    if (!necessary_passes()) return false;
 
     // Find an unspecified support bit; prefer the paper's "make a
     // half-specified input steady" decision.
@@ -249,18 +329,18 @@ bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
       const Bit b = free_bits_[rng_.below(free_bits_.size())];
       apply_bit(b.input, b.plane, rng_.coin() ? V3::One : V3::Zero);
     }
-    if (sim_.violations() > 0) return false;
+    if (ref_conflicts()) return false;
   }
 
   // Fill the bits outside the support of A: they cannot reach any required
-  // line, so any fully specified values complete the test and the simulator
-  // (which the final check reads) need not see them.
+  // line, so any fully specified values complete the test and the final
+  // check need not see them.
   for (std::size_t i = 0; i < bit1_.size(); ++i) {
     if (!is_specified(bit1_[i])) bit1_[i] = rng_.coin() ? V3::One : V3::Zero;
     if (!is_specified(bit3_[i])) bit3_[i] = rng_.coin() ? V3::One : V3::Zero;
   }
 
-  return sim_.violations() == 0 && sim_.unsatisfied() == 0;
+  return satisfies(reqs);
 }
 
 std::optional<TwoPatternTest> JustificationEngine::justify(
@@ -268,7 +348,22 @@ std::optional<TwoPatternTest> JustificationEngine::justify(
   PDF_TRACE_SPAN("atpg.justify");
   static auto& probes_hist =
       runtime::Metrics::global().histogram("atpg.justify.probes");
+  static auto& updates =
+      runtime::Metrics::global().counter("atpg.justify.lane_updates");
+  static auto& gate_evals =
+      runtime::Metrics::global().counter("atpg.justify.lane_gate_evals");
+  static auto& implication_rejects =
+      runtime::Metrics::global().counter("atpg.justify.reject_implication");
   const std::uint64_t probes_before = stats_.probes;
+
+  // The planes on which some requirement wants 1 / 0, per required line.
+  for (const auto& r : reqs) {
+    for (int q = 0; q < 3; ++q) {
+      const std::uint8_t bit = static_cast<std::uint8_t>(1u << q);
+      if (r.value[q] == V3::One) want1_[r.line] |= bit;
+      if (r.value[q] == V3::Zero) want0_[r.line] |= bit;
+    }
+  }
 
   std::optional<TwoPatternTest> result;
   const int attempts = std::max(1, cfg.max_attempts);
@@ -285,7 +380,12 @@ std::optional<TwoPatternTest> JustificationEngine::justify(
     }
   }
   if (!result) ++stats_.failures;
+
+  for (const auto& r : reqs) want1_[r.line] = want0_[r.line] = 0;
   probes_hist.record(stats_.probes - probes_before);
+  updates.add(std::exchange(lane_updates_, 0));
+  gate_evals.add(std::exchange(lane_gate_evals_, 0));
+  implication_rejects.add(std::exchange(reject_implication_, 0));
   return result;
 }
 

@@ -17,31 +17,39 @@
 // attempts may be made.
 //
 // Engineering on top of the paper's description (behaviour-preserving):
+//   * a static implication pass over A runs first: it rejects attempts it
+//     proves unsatisfiable before anything else is built, and it seeds the
+//     forced PI values that pure probing would discover one by one;
 //   * only PI bits in the structural support of A are probed — bits outside
 //     every required line's input cone cannot conflict, so they get random
 //     values at the end, written straight into the test without simulating
 //     them;
-//   * a pass's probes are evaluated in batches: up to 32 unspecified support
-//     bits × {0, 1} become the 64 lanes of (value, known) plane words
-//     (sim/packed_eval.hpp), simulated over the support cone only, and each
-//     lane's conflict is read off the required lines (the intermediate
-//     plane only when a requirement can conflict there alone). The lanes
-//     are then scanned in the sequential probing order; the first forced
-//     bit is applied and the rest of the pass is re-batched from the bit
-//     after it, so every decision, RNG draw and JustifyStats count (probes
-//     count two per scanned bit) equals one-probe-at-a-time probing, which
-//     `oracle::justify` implements and `pdf_check --check justify_agrees`
-//     compares against;
-//   * assignments (forced bits and decisions) go through an event-driven
-//     simulator whose violation/unsatisfied counters answer "does this
-//     conflict" and "is the test complete" without a full pass;
-//   * a static implication pass over A seeds the forced PI values that pure
-//     probing would discover one by one.
+//   * probing runs on lane state that lives for a whole attempt: every
+//     support bit still unspecified after the seed owns two lanes of
+//     (value, known) plane words (sim/packed_eval.hpp) — lane 2j sets bit j
+//     to 0, lane 2j+1 sets it to 1 — and one more reference lane holds the
+//     current assignment. The support cone is evaluated once per attempt;
+//     after that, a forced bit or a decision is written into every lane and
+//     only its fanout inside the cone is re-evaluated, in level order,
+//     OR-ing the required lines' conflicts into a per-lane mask. Simulation
+//     is monotone, so a live lane's conflicts only accumulate, and a
+//     decided bit's own two lanes are never read again;
+//   * a pass scans the lanes in the sequential probing order and skips bits
+//     that are already specified, so every decision, RNG draw and
+//     JustifyStats count (probes count two per scanned bit) equals
+//     one-probe-at-a-time probing, which `oracle::justify` implements and
+//     `pdf_check --check justify_agrees` compares against;
+//   * "does the assignment conflict" is the reference lane's conflict bit;
+//     the intermediate plane is simulated only when a requirement can
+//     conflict there alone (see attempt());
+//   * the finished test is checked by a from-scratch evaluation of the
+//     cone on all three planes, independent of the incremental lane state.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "atpg/test_pattern.hpp"
 #include "base/rng.hpp"
@@ -49,7 +57,6 @@
 #include "faults/requirements.hpp"
 #include "implication/implication.hpp"
 #include "netlist/netlist.hpp"
-#include "sim/event_sim.hpp"
 
 namespace pdf {
 
@@ -71,8 +78,7 @@ struct JustifyStats {
 
 class JustificationEngine {
  public:
-  /// Compiles `nl` once; the event simulator and the implication engine share
-  /// the flattened view.
+  /// Compiles `nl` once; the implication engine shares the flattened view.
   JustificationEngine(const Netlist& nl, std::uint64_t seed);
 
   JustificationEngine(const JustificationEngine&) = delete;
@@ -91,7 +97,7 @@ class JustificationEngine {
     std::size_t input;
     int plane;
   };
-  /// One plane of one node across the 64 lanes of a probe batch: the
+  /// One plane of one node across the 64 lanes of a word: the
   /// (value, known) word pair of sim/packed_eval.hpp.
   struct LanePlane {
     std::uint64_t value = 0;
@@ -100,33 +106,61 @@ class JustificationEngine {
 
   bool attempt(std::span<const ValueRequirement> reqs, const JustifyConfig& cfg);
   void compute_support(std::span<const ValueRequirement> reqs);
-  void apply_bit(std::size_t input, int plane, V3 v);
   bool bit_specified(std::size_t input, int plane) const;
+  /// Gives every unspecified support bit its two lanes, adds the reference
+  /// lane, evaluates the support cone on every lane word and records the
+  /// lanes' conflicts with `reqs`.
+  void init_lanes(std::span<const ValueRequirement> reqs);
+  /// Writes input `input`'s current bits and lanes into its plane words.
+  void write_input_lanes(std::size_t input);
+  /// Fixes a PI bit in every lane and re-evaluates its fanout in the cone.
+  void apply_bit(std::size_t input, int plane, V3 v);
+  /// ORs the lanes on which required line `id` conflicts into conflict_.
+  void record_conflicts(NodeId id);
+  bool lane_conflicts(std::size_t lane) const {
+    return (conflict_[lane / 64] >> (lane % 64)) & 1;
+  }
+  /// The intermediate plane (q == 1) is simulated only when hazard_plane_.
+  bool plane_simulated(int q) const { return q != 1 || hazard_plane_; }
+  /// The current assignment conflicts with a requirement.
+  bool ref_conflicts() const { return lane_conflicts(2 * lane_bits_.size()); }
   /// Runs necessary-value passes to fixpoint; false on a both-values-conflict
   /// failure.
-  bool necessary_passes(std::span<const ValueRequirement> reqs);
-  /// Probes pass_bits_[first, first + count) (count <= 32) with 0 on lane 2j
-  /// and 1 on lane 2j+1 over the support cone; bit L of the result is set
-  /// when lane L conflicts with a requirement.
-  std::uint64_t probe_batch(std::span<const ValueRequirement> reqs,
-                            std::size_t first, std::size_t count);
+  bool necessary_passes();
+  /// From-scratch check of the finished assignment on all three planes.
+  bool satisfies(std::span<const ValueRequirement> reqs);
+  /// Word `w` of plane `q`: one node-indexed array of LanePlane.
+  LanePlane* plane_word(int q, std::size_t w) {
+    return lanes_[q].data() + w * cc_.node_count();
+  }
 
   CompiledCircuit cc_;  // shared execution view (declared first: members below borrow it)
-  EventSim sim_;
   ImplicationEngine implication_;
   Rng rng_;
   JustifyStats stats_;
 
   std::vector<V3> bit1_, bit3_;    // decision bits per PI
-  std::vector<bool> in_support_;   // per PI index
   std::vector<std::size_t> support_inputs_;
-  std::vector<char> visit_mark_;   // per node scratch for support BFS
+  std::vector<char> visit_mark_;   // per node: in the support cone
   std::vector<NodeId> stack_;      // support BFS worklist
   std::vector<NodeId> cone_gates_; // gates of the support cone, topo order
-  std::vector<Bit> pass_bits_;     // unspecified support bits of a pass
   std::vector<Bit> free_bits_;     // decision candidates
-  std::vector<LanePlane> lanes_[3];  // per plane, per node: probe lanes
+
+  // Lane state of one attempt.
+  std::vector<Bit> lane_bits_;           // bit j owns lanes 2j and 2j+1
+  std::vector<int> lane_bit1_, lane_bit3_;  // per PI: owning j, or -1
+  std::size_t words_ = 0;                // 64-lane words per plane
+  std::vector<LanePlane> lanes_[3];      // per plane: words_ node arrays
+  std::vector<std::uint64_t> conflict_;  // per lane word: lane conflicts
+  std::vector<std::uint8_t> want1_, want0_;  // per node: planes required 1/0
+  std::vector<std::vector<NodeId>> buckets_;  // per level: queued gates
+  std::vector<char> queued_;                  // per node
   bool hazard_plane_ = false;  // some requirement needs the intermediate plane
+
+  // Metric tallies, added to runtime::Metrics once per justify() call.
+  std::uint64_t lane_updates_ = 0;
+  std::uint64_t lane_gate_evals_ = 0;
+  std::uint64_t reject_implication_ = 0;
 };
 
 }  // namespace pdf

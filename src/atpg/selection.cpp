@@ -22,7 +22,6 @@ void RequirementUnion::clear() {
 
 void RequirementUnion::merge(std::span<const ValueRequirement> reqs) {
   trial_.clear();
-  committed_lines_ = lines_.size();
   for (const ValueRequirement& r : reqs) {
     if (!required_[r.line]) {
       required_[r.line] = 1;
@@ -37,6 +36,9 @@ void RequirementUnion::merge(std::span<const ValueRequirement> reqs) {
 }
 
 std::span<const RequirementUnion::Change> RequirementUnion::commit() {
+  const auto tail = lines_.begin() + static_cast<std::ptrdiff_t>(committed_lines_);
+  std::sort(tail, lines_.end());
+  std::inplace_merge(lines_.begin(), tail, lines_.end());
   committed_lines_ = lines_.size();
   return trial_;
 }
@@ -53,12 +55,19 @@ void RequirementUnion::undo() {
 }
 
 std::span<const ValueRequirement> RequirementUnion::items() {
+  // The committed lines are sorted already; only the trial tail (one
+  // fault's requirements) needs sorting before the linear merge.
+  const auto tail = lines_.begin() + static_cast<std::ptrdiff_t>(committed_lines_);
+  std::sort(tail, lines_.end());
   items_.clear();
-  for (NodeId line : lines_) items_.push_back(ValueRequirement{line, value_[line]});
-  std::sort(items_.begin(), items_.end(),
-            [](const ValueRequirement& a, const ValueRequirement& b) {
-              return a.line < b.line;
-            });
+  const auto push = [&](NodeId line) {
+    items_.push_back(ValueRequirement{line, value_[line]});
+  };
+  auto a = lines_.begin();
+  auto b = tail;
+  while (a != tail && b != lines_.end()) push(*b < *a ? *b++ : *a++);
+  std::for_each(a, tail, push);
+  std::for_each(b, lines_.end(), push);
   return items_;
 }
 

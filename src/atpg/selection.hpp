@@ -58,15 +58,18 @@ class RequirementUnion {
 
   /// The union's triple on `line` (kAllX when the line is not required).
   const Triple& at(NodeId line) const { return value_[line]; }
-  /// Every required line, in the order they joined the union.
+  /// Every required line: the committed ones ascending, then the lines the
+  /// pending trial merge added.
   std::span<const NodeId> lines() const { return lines_; }
-  /// The union in ascending line order — the form the justifiers take.
+  /// The union in ascending line order — the form the justifiers take. The
+  /// committed lines stay sorted, so this merges in the trial's lines in
+  /// O(n) instead of sorting the whole union per call.
   std::span<const ValueRequirement> items();
 
  private:
   std::vector<Triple> value_;
   std::vector<std::uint8_t> required_;
-  std::vector<NodeId> lines_;
+  std::vector<NodeId> lines_;  // committed lines ascending, then the trial's
   std::size_t committed_lines_ = 0;
   std::vector<Change> trial_;
   std::vector<ValueRequirement> items_;

@@ -1,12 +1,11 @@
 // Event-driven incremental triple simulator with transactional rollback.
 //
-// The justifiers' assignment engine (paper Section 2.1): after each PI bit
-// they fix, they ask "does any value required by A conflict, and is A
-// complete?". The branch-and-bound justifier also probes through it ("if I
-// set this PI bit to v, does A conflict?"); the greedy justifier probes 64
-// lanes at a time on the packed kernel instead and only applies its forced
-// bits and decisions here. A full resimulation per question would dominate
-// runtime, so this simulator
+// The assignment engine of the branch-and-bound justifier
+// (`atpg/bnb_justify.*`), its only consumer: after each PI bit it fixes or
+// probes, it asks "does any value required by A conflict, and is A
+// complete?", and a backtrack rolls the assignment back. (The greedy
+// justifier keeps its own per-attempt lane state on the packed kernel.) A
+// full resimulation per question would dominate runtime, so this simulator
 //   * keeps the triple of every node up to date under the current PI
 //     assignment,
 //   * propagates a PI change through its fanout cone only, in level order

@@ -6,8 +6,8 @@
 // lane-parallel form of `eval_node_triple`: planes are independent, a lane's
 // value bit is meaningful only where its known bit is set, and a value bit is
 // never set where known is clear. Consumers: the bitpar/avx2/avx512 backends
-// (`sim/backend_wide.hpp`, one test per lane) and the justifier's batched
-// necessary-value probing (`atpg/justify.cpp`, one probe per lane).
+// (`sim/backend_wide.hpp`, one test per lane) and the greedy justifier's
+// persistent probe lanes (`atpg/justify.cpp`, one probe per lane).
 //
 // Everything here has internal linkage (anonymous namespace) for the reason
 // spelled out in backend_wide.hpp: the including TUs are compiled with

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "atpg/support.hpp"
+
 #include "enrich/target_sets.hpp"
 #include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
@@ -206,6 +208,79 @@ TEST_P(JustifyVsReference, MatchesOnP0Faults) {
 }
 
 INSTANTIATE_TEST_SUITE_P(S1196P0, JustifyVsReference, ::testing::Range(0, 4));
+
+// Requirement sets whose support spans 168 inputs: a 150-input AND tree, a
+// 16-input XOR tree and a 2-input OR whose x0x (hazard-free 0) demand the
+// greedy search meets only when its random decisions pick 0. The 336 probed bits take 672 lanes plus
+// the reference lane, eleven 64-lane words, so words past the first and a
+// reference lane in a later word are exercised; three attempts per call
+// re-initialize the lane state after a failed attempt.
+TEST(Justify, WideSupportMatchesReference) {
+  Netlist nl("wide");
+  const auto tree = [&](const std::string& prefix, std::size_t n,
+                        GateType type) {
+    std::vector<NodeId> layer;
+    for (std::size_t i = 0; i < n; ++i) {
+      layer.push_back(nl.add_input(prefix + std::to_string(i)));
+    }
+    std::size_t g = 0;
+    while (layer.size() > 1) {
+      std::vector<NodeId> next;
+      for (std::size_t i = 0; i + 1 < layer.size(); i += 2) {
+        next.push_back(nl.add_gate(prefix + "g" + std::to_string(g++), type,
+                                   {layer[i], layer[i + 1]}));
+      }
+      if (layer.size() % 2) next.push_back(layer.back());
+      layer = std::move(next);
+    }
+    nl.mark_output(layer.front());
+    return layer.front();
+  };
+  const NodeId a = tree("a", 150, GateType::And);
+  const NodeId b = tree("b", 16, GateType::Xor);
+  const NodeId o = tree("o", 2, GateType::Or);
+  nl.finalize();
+
+  const Triple hazard_free_0{V3::X, V3::Zero, V3::X};
+  const std::vector<std::vector<ValueRequirement>> sets = {
+      {{a, kSteady1}, {b, kSteady1}, {o, hazard_free_0}},
+      {{a, kRise}, {b, kFall}, {o, hazard_free_0}},
+  };
+  for (const auto& reqs : sets) {
+    ASSERT_EQ(support_inputs(nl, reqs).size(), 168u);
+  }
+  JustifyConfig cfg;
+  cfg.use_implication_seed = false;
+  cfg.max_attempts = 3;
+  std::uint64_t successes = 0;
+  std::uint64_t retried = 0;
+  for (const std::uint64_t seed : {3u, 11u}) {
+    JustificationEngine eng(nl, seed);
+    Rng ref_rng(seed);
+    JustifyStats ref_stats;
+    for (std::size_t k = 0; k < sets.size(); ++k) {
+      const std::uint64_t attempts_before = eng.stats().attempts;
+      const auto got = eng.justify(sets[k], cfg);
+      const auto want = oracle::justify(nl, sets[k], ref_rng, ref_stats,
+                                        cfg.max_attempts);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "set " << k;
+      if (got) {
+        ASSERT_EQ(got->pi_values, want->pi_values) << "set " << k;
+      }
+      const JustifyStats& s = eng.stats();
+      ASSERT_EQ(s.probes, ref_stats.probes) << "set " << k;
+      ASSERT_EQ(s.passes, ref_stats.passes) << "set " << k;
+      ASSERT_EQ(s.decisions, ref_stats.decisions) << "set " << k;
+      ASSERT_EQ(s.attempts, ref_stats.attempts) << "set " << k;
+      ASSERT_EQ(s.successes, ref_stats.successes) << "set " << k;
+      successes += got.has_value();
+      retried += s.attempts - attempts_before > 1;
+    }
+  }
+  // Both outcomes and the re-initialization path were reached.
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(retried, 0u);
+}
 
 TEST(Justify, StatsAccumulate) {
   const Netlist nl = testutil::tiny_and_or();

@@ -73,6 +73,16 @@ TEST(RequirementUnion, UndoRestoresTheCommittedUnion) {
   EXPECT_EQ(changes[0].after, kSteady1);
   EXPECT_EQ(changes[1].before, kAllX);
 
+  // New lines that interleave the committed ones, before and after commit.
+  const ValueRequirement interleaved[] = {{7, kRise}, {1, kSteady0}, {3, kFall}};
+  const std::vector<ValueRequirement> merged = {
+      {1, kSteady0}, {2, kRise}, {3, kFall},
+      {4, kSteady1}, {6, kSteady0}, {7, kRise}};
+  u.merge(interleaved);
+  EXPECT_TRUE(std::ranges::equal(u.items(), merged));
+  u.commit();
+  EXPECT_TRUE(std::ranges::equal(u.items(), merged));
+
   u.clear();
   EXPECT_TRUE(u.items().empty());
   EXPECT_EQ(u.at(4), kAllX);
