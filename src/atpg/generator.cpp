@@ -139,6 +139,17 @@ class Generator {
     return engine_.justify(reqs, cfg_.justify);
   }
 
+  // Justifies the union after a trial merge of `added`. The greedy engine
+  // still holds the closure of the union as of the last accept, so it closes
+  // only `added` and builds the sorted union only when implication passes;
+  // its commit/undo follows the union's, since accept == justify succeeds.
+  std::optional<TwoPatternTest> justify_secondary(
+      std::span<const ValueRequirement> added) {
+    if (cfg_.use_branch_and_bound) return do_justify(union_.items());
+    return engine_.justify_more([this] { return union_.items(); }, added,
+                                cfg_.justify);
+  }
+
   std::vector<std::size_t> make_order(std::span<const TargetFault> faults) {
     std::vector<std::size_t> order(faults.size());
     std::iota(order.begin(), order.end(), 0);
@@ -208,9 +219,11 @@ class Generator {
         ++consecutive_failures;
         continue;
       }
-      union_.merge(set.faults[cand].requirements);
+      const std::span<const ValueRequirement> added =
+          set.faults[cand].requirements;
+      union_.merge(added);
       const Clock::time_point justify_start = Clock::now();
-      auto new_test = do_justify(union_.items());
+      auto new_test = justify_secondary(added);
       justify_time += Clock::now() - justify_start;
       if (!new_test) {
         union_.undo();

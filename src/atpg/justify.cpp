@@ -271,19 +271,12 @@ bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
   std::fill(bit1_.begin(), bit1_.end(), V3::X);
   std::fill(bit3_.begin(), bit3_.end(), V3::X);
 
-  // Implication first: it needs neither the support nor the lanes, and
-  // nothing before the decisions draws from the RNG, so rejecting here
-  // changes no outcome.
+  // The call's implication closure seeds the forced PI values.
   if (cfg.use_implication_seed) {
-    const ImplicationResult& imp = implication_.imply(reqs);
-    if (!imp.consistent) {
-      ++reject_implication_;
-      return false;
-    }
     for (std::size_t i = 0; i < cc_.inputs().size(); ++i) {
-      const Triple& t = imp.values[cc_.inputs()[i]];
-      bit1_[i] = t.a1;
-      bit3_[i] = t.a3;
+      const NodeId id = cc_.inputs()[i];
+      bit1_[i] = implication_.value(id, 0);
+      bit3_[i] = implication_.value(id, 2);
     }
   }
 
@@ -345,6 +338,13 @@ bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
 
 std::optional<TwoPatternTest> JustificationEngine::justify(
     std::span<const ValueRequirement> reqs, const JustifyConfig& cfg) {
+  if (cfg.use_implication_seed) implication_.clear();
+  return justify_more([reqs] { return reqs; }, reqs, cfg);
+}
+
+std::optional<TwoPatternTest> JustificationEngine::justify_more(
+    const Requirements& source, std::span<const ValueRequirement> added,
+    const JustifyConfig& cfg) {
   PDF_TRACE_SPAN("atpg.justify");
   static auto& probes_hist =
       runtime::Metrics::global().histogram("atpg.justify.probes");
@@ -354,38 +354,62 @@ std::optional<TwoPatternTest> JustificationEngine::justify(
       runtime::Metrics::global().counter("atpg.justify.lane_gate_evals");
   static auto& implication_rejects =
       runtime::Metrics::global().counter("atpg.justify.reject_implication");
+  static auto& implied =
+      runtime::Metrics::global().counter("atpg.justify.implied");
   const std::uint64_t probes_before = stats_.probes;
+  const int attempts = std::max(1, cfg.max_attempts);
 
-  // The planes on which some requirement wants 1 / 0, per required line.
-  for (const auto& r : reqs) {
-    for (int q = 0; q < 3; ++q) {
-      const std::uint8_t bit = static_cast<std::uint8_t>(1u << q);
-      if (r.value[q] == V3::One) want1_[r.line] |= bit;
-      if (r.value[q] == V3::Zero) want0_[r.line] |= bit;
-    }
+  // Implication first, once per call: it needs neither the requirement set
+  // nor the support nor the lanes, and nothing before the decisions draws
+  // from the RNG, so rejecting here changes no outcome.
+  bool consistent = true;
+  if (cfg.use_implication_seed) {
+    const std::size_t trail_before = implication_.trail_size();
+    consistent = implication_.extend(added);
+    implied.add(implication_.trail_size() - trail_before);
   }
 
   std::optional<TwoPatternTest> result;
-  const int attempts = std::max(1, cfg.max_attempts);
-  for (int k = 0; k < attempts; ++k) {
-    if (attempt(reqs, cfg)) {
-      ++stats_.successes;
-      TwoPatternTest t;
-      t.pi_values.resize(bit1_.size());
-      for (std::size_t i = 0; i < bit1_.size(); ++i) {
-        t.pi_values[i] = pi_triple(bit1_[i], bit3_[i]);
+  if (!consistent) {
+    // The closure is deterministic, so every attempt would stop at it.
+    stats_.attempts += static_cast<std::uint64_t>(attempts);
+    implication_rejects.add(static_cast<std::uint64_t>(attempts));
+  } else {
+    const std::span<const ValueRequirement> reqs = source();
+    // The planes on which some requirement wants 1 / 0, per required line.
+    for (const auto& r : reqs) {
+      for (int q = 0; q < 3; ++q) {
+        const std::uint8_t bit = static_cast<std::uint8_t>(1u << q);
+        if (r.value[q] == V3::One) want1_[r.line] |= bit;
+        if (r.value[q] == V3::Zero) want0_[r.line] |= bit;
       }
-      result = std::move(t);
-      break;
     }
+    for (int k = 0; k < attempts; ++k) {
+      if (attempt(reqs, cfg)) {
+        ++stats_.successes;
+        TwoPatternTest t;
+        t.pi_values.resize(bit1_.size());
+        for (std::size_t i = 0; i < bit1_.size(); ++i) {
+          t.pi_values[i] = pi_triple(bit1_[i], bit3_[i]);
+        }
+        result = std::move(t);
+        break;
+      }
+    }
+    for (const auto& r : reqs) want1_[r.line] = want0_[r.line] = 0;
   }
   if (!result) ++stats_.failures;
 
-  for (const auto& r : reqs) want1_[r.line] = want0_[r.line] = 0;
+  if (cfg.use_implication_seed) {
+    if (result) {
+      implication_.commit();
+    } else {
+      implication_.undo();
+    }
+  }
   probes_hist.record(stats_.probes - probes_before);
   updates.add(std::exchange(lane_updates_, 0));
   gate_evals.add(std::exchange(lane_gate_evals_, 0));
-  implication_rejects.add(std::exchange(reject_implication_, 0));
   return result;
 }
 

@@ -17,9 +17,14 @@
 // attempts may be made.
 //
 // Engineering on top of the paper's description (behaviour-preserving):
-//   * a static implication pass over A runs first: it rejects attempts it
-//     proves unsatisfiable before anything else is built, and it seeds the
-//     forced PI values that pure probing would discover one by one;
+//   * a static implication pass over A runs first, once per call: it
+//     rejects calls it proves unsatisfiable before anything else is built
+//     (every attempt then counts as an attempt rejected by implication), and
+//     it seeds the forced PI values that pure probing would discover one by
+//     one. While a test grows, justify_more() closes only the candidate's
+//     requirements on top of the closure of the union accepted so far, kept
+//     on success and undone on failure; implication is monotone, so this is
+//     the closure a from-scratch pass over the whole union computes;
 //   * only PI bits in the structural support of A are probed — bits outside
 //     every required line's input cone cannot conflict, so they get random
 //     values at the end, written straight into the test without simulating
@@ -47,6 +52,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -84,9 +90,23 @@ class JustificationEngine {
   JustificationEngine(const JustificationEngine&) = delete;
   JustificationEngine& operator=(const JustificationEngine&) = delete;
 
+  /// Supplies a call's full requirement set. It is called only when
+  /// implication does not reject the call.
+  using Requirements = std::function<std::span<const ValueRequirement>()>;
+
   /// Searches for a test satisfying `reqs`. nullopt when every attempt fails.
   std::optional<TwoPatternTest> justify(std::span<const ValueRequirement> reqs,
                                         const JustifyConfig& cfg = {});
+
+  /// justify(reqs()) for a requirement set that grows the last successful
+  /// call's set by `added`: the implication closure of that call is kept and
+  /// only `added` is closed on top of it. Same tests, JustifyStats and RNG
+  /// draws as justify(reqs()). Precondition: reqs() is the last successful
+  /// justify()/justify_more() call's set plus `added`, under the same
+  /// `use_implication_seed`. With the seed off it is plain justify(reqs()).
+  std::optional<TwoPatternTest> justify_more(
+      const Requirements& reqs, std::span<const ValueRequirement> added,
+      const JustifyConfig& cfg = {});
 
   const JustifyStats& stats() const { return stats_; }
   Rng& rng() { return rng_; }
@@ -157,10 +177,9 @@ class JustificationEngine {
   std::vector<char> queued_;                  // per node
   bool hazard_plane_ = false;  // some requirement needs the intermediate plane
 
-  // Metric tallies, added to runtime::Metrics once per justify() call.
+  // Metric tallies, added to runtime::Metrics once per call.
   std::uint64_t lane_updates_ = 0;
   std::uint64_t lane_gate_evals_ = 0;
-  std::uint64_t reject_implication_ = 0;
 };
 
 }  // namespace pdf

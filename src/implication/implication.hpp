@@ -18,10 +18,23 @@
 // unsatisfiable — the paper's second screen for undetectable faults
 // (Section 3.1).
 //
+// The closure is incremental. The engine keeps its per-plane values between
+// calls, and extend() closes further requirements on top of the current
+// closure. Every rule only ever turns x into a specified value, so the
+// closure is the unique least fixpoint of its seeds: the closure reached
+// from closure(U) by adding A equals closure(U ∪ A) computed from scratch,
+// and so does the contradiction verdict. The work FIFO doubles as the trail:
+// each (node, plane) is assigned at most once per closure, so the FIFO lists
+// every assignment in order. commit() marks the trail, undo() resets the
+// entries past the mark and clear() resets all of them, both in O(trail)
+// rather than O(node_count). imply() and contradicts() are from-scratch
+// closures built on the same loop.
+//
 // Traversal runs on the flattened CompiledCircuit view (CSR fanin/fanout,
 // dense gate types); gate evaluation gathers fanin values into fixed stack
-// buffers, and the per-plane values, the work queue and the result are
-// engine members reused across calls, so a warm engine allocates nothing.
+// buffers. The per-plane values and the work queue are sized once at
+// construction and the result is reused, so a warm engine allocates
+// nothing.
 #pragma once
 
 #include <optional>
@@ -55,24 +68,54 @@ class ImplicationEngine {
   ImplicationEngine(const ImplicationEngine&) = delete;
   ImplicationEngine& operator=(const ImplicationEngine&) = delete;
 
-  /// Runs the fixpoint from the given requirements. The result lives in the
-  /// engine and is overwritten by the next call; the working buffers are
-  /// reused too, so a warm engine allocates nothing.
+  /// Empties the closure (every line x) and the commit mark. O(trail).
+  void clear();
+  /// Closes `reqs` on top of the current closure. False on a contradiction;
+  /// the state is then partial and must be undone (undo() or clear()) before
+  /// the next extend().
+  bool extend(std::span<const ValueRequirement> reqs);
+  /// Keeps everything assigned so far: the next undo() returns here.
+  /// Precondition: the last extend() since the mark succeeded.
+  void commit() { mark_ = work_.size(); }
+  /// Resets every assignment made since the last commit() (or clear()).
+  void undo();
+  /// The closure's value of `node` on `plane` (0 first pattern, 1
+  /// intermediate, 2 second pattern).
+  V3 value(NodeId node, int plane) const { return value_[plane][node]; }
+  /// (node, plane) assignments in the current closure, conflict included.
+  std::size_t trail_size() const { return work_.size(); }
+
+  /// From-scratch closure of `reqs`: clear(), extend(), then a copy of every
+  /// node's triple. The result lives in the engine and is overwritten by the
+  /// next call.
   const ImplicationResult& imply(std::span<const ValueRequirement> reqs);
 
-  /// Convenience: true when implication finds a contradiction.
+  /// True when the from-scratch closure of `reqs` finds a contradiction (no
+  /// result copy).
   bool contradicts(std::span<const ValueRequirement> reqs) {
-    return !imply(reqs).consistent;
+    clear();
+    return !extend(reqs);
   }
 
  private:
   void init(const CompiledCircuit& cc);
+  /// Sets an x value; flags a contradiction with a specified one; enqueues
+  /// the change.
+  void assign(NodeId id, int plane, V3 v);
+  void forward(NodeId gate, int plane);
+  void backward(NodeId gate, int plane);
 
   std::optional<CompiledCircuit> owned_;
   const CompiledCircuit* cc_ = nullptr;
-  std::vector<V3> value_[3];      // per plane, per node
-  std::vector<bool> queued_[3];   // per plane, per node
+  std::vector<V3> value_[3];  // per plane, per node
+  // FIFO and trail of assigned (node, plane): a value goes from x to
+  // specified once per closure, so each is queued once. Entries before
+  // head_ are closed, entries before mark_ are committed. At most
+  // 3 × node_count.
   std::vector<std::pair<NodeId, int>> work_;
+  std::size_t head_ = 0;
+  std::size_t mark_ = 0;
+  bool conflict_ = false;
   ImplicationResult result_;
 };
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "faults/fault.hpp"
 #include "gen/registry.hpp"
+#include "paths/enumerate.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
 
@@ -144,6 +146,79 @@ TEST(Implication, SoundnessOnRandomCircuits) {
     }
   }
   EXPECT_GE(circuits, 5);
+}
+
+// Incremental closure against a new engine's imply() on a table circuit: a
+// seeded script of extend() calls over path-fault requirement sets and
+// random triples, each followed by commit(), undo() or clear(). The
+// incremental values must equal the from-scratch ones node by node, and the
+// contradiction verdicts must agree, including after a contradiction.
+TEST(Implication, ExtendUndoMatchesFromScratch) {
+  const Netlist nl = benchmark_circuit("b03_like");
+  const LineDelayModel dm(nl);
+  EnumerationConfig ecfg;
+  ecfg.max_faults = 200;
+  std::vector<std::vector<ValueRequirement>> sets;
+  for (const auto& f :
+       faults_for_paths(enumerate_longest_paths(dm, ecfg).paths)) {
+    FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+    if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
+  }
+  ASSERT_GE(sets.size(), 20u);
+  Rng rng(2718);
+  static const Triple kChoices[] = {kSteady0, kSteady1, kRise,
+                                    kFall,    kFinal0,  kFinal1,
+                                    Triple{V3::X, V3::One, V3::X}};
+  for (int k = 0; k < 10; ++k) {
+    sets.push_back({{static_cast<NodeId>(rng.below(nl.node_count())),
+                     kChoices[rng.below(7)]}});
+  }
+
+  const CompiledCircuit cc(nl);
+  ImplicationEngine inc(cc);
+  std::vector<ValueRequirement> committed, pending;
+  const auto expect_equal = [&](const std::vector<ValueRequirement>& reqs,
+                                bool consistent) {
+    ImplicationEngine fresh(cc);
+    const ImplicationResult& want = fresh.imply(reqs);
+    ASSERT_EQ(consistent, want.consistent);
+    if (!consistent) return;
+    for (NodeId id = 0; id < nl.node_count(); ++id) {
+      for (int q = 0; q < 3; ++q) {
+        ASSERT_EQ(inc.value(id, q), want.values[id][q])
+            << nl.node(id).name << " plane " << q;
+      }
+    }
+  };
+  std::size_t contradictions = 0, commits = 0, undos = 0;
+  for (int step = 0; step < 200; ++step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    const auto& add = sets[rng.below(sets.size())];
+    pending.insert(pending.end(), add.begin(), add.end());
+    const bool consistent = inc.extend(add);
+    ASSERT_NO_FATAL_FAILURE(expect_equal(pending, consistent));
+    if (!consistent) {
+      ++contradictions;
+      if (rng.coin()) {
+        inc.clear();
+        committed.clear();
+      } else {
+        inc.undo();
+      }
+    } else if (rng.below(3) == 0) {
+      inc.undo();
+      ++undos;
+    } else {
+      inc.commit();
+      committed = pending;
+      ++commits;
+    }
+    pending = committed;
+    ASSERT_NO_FATAL_FAILURE(expect_equal(committed, true));
+  }
+  EXPECT_GT(contradictions, 10u);
+  EXPECT_GT(commits, 10u);
+  EXPECT_GT(undos, 10u);
 }
 
 TEST(Implication, RejectsSequentialNetlist) {

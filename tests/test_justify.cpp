@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "atpg/selection.hpp"
 #include "atpg/support.hpp"
 
 #include "enrich/target_sets.hpp"
@@ -280,6 +281,80 @@ TEST(Justify, WideSupportMatchesReference) {
   // Both outcomes and the re-initialization path were reached.
   EXPECT_GT(successes, 0u);
   EXPECT_GT(retried, 0u);
+}
+
+// justify_more() against justify() over a generator-like script on
+// s1196_like: per test, a primary then secondaries that are accepted when
+// justification succeeds and undone otherwise. One engine re-implies the
+// whole union per call, the other closes only the candidate on top of the
+// kept closure; with the same seed every test, every JustifyStats count and
+// every later RNG draw must agree.
+TEST(Justify, JustifyMoreMatchesJustify) {
+  const Netlist nl = benchmark_circuit("s1196_like");
+  TargetSetConfig tcfg;
+  tcfg.n_p = 1000;
+  tcfg.n_p0 = 100;
+  const TargetSets ts = build_target_sets(nl, tcfg);
+  ASSERT_GE(ts.p0.size(), 40u);
+  for (const int max_attempts : {1, 3}) {
+    SCOPED_TRACE("max_attempts " + std::to_string(max_attempts));
+    JustifyConfig cfg;
+    cfg.max_attempts = max_attempts;
+    JustificationEngine whole(nl, 23), more(nl, 23);
+    RequirementUnion u(nl.node_count());
+    std::size_t accepted = 0, rejected = 0;
+    const auto expect_same = [&](const std::optional<TwoPatternTest>& a,
+                                 const std::optional<TwoPatternTest>& b,
+                                 std::size_t primary, std::size_t cand) {
+      ASSERT_EQ(a.has_value(), b.has_value())
+          << "primary " << primary << " candidate " << cand;
+      if (a) {
+        ASSERT_EQ(a->pi_values, b->pi_values)
+            << "primary " << primary << " candidate " << cand;
+      }
+      const JustifyStats& x = whole.stats();
+      const JustifyStats& y = more.stats();
+      ASSERT_EQ(x.attempts, y.attempts);
+      ASSERT_EQ(x.probes, y.probes);
+      ASSERT_EQ(x.passes, y.passes);
+      ASSERT_EQ(x.decisions, y.decisions);
+      ASSERT_EQ(x.successes, y.successes);
+      ASSERT_EQ(x.failures, y.failures);
+    };
+    for (std::size_t primary = 0; primary < 8; ++primary) {
+      const auto& reqs = ts.p0[primary].requirements;
+      const auto a = whole.justify(reqs, cfg);
+      const auto b = more.justify(reqs, cfg);
+      ASSERT_NO_FATAL_FAILURE(expect_same(a, b, primary, primary));
+      if (!a) continue;
+      u.clear();
+      u.merge(reqs);
+      u.commit();
+      for (std::size_t cand = 0; cand < ts.p0.size(); ++cand) {
+        if (cand == primary) continue;
+        const auto& added = ts.p0[cand].requirements;
+        const bool conflicts =
+            std::any_of(added.begin(), added.end(), [&](const auto& r) {
+              return u.at(r.line).conflicts_with(r.value);
+            });
+        if (conflicts) continue;
+        u.merge(added);
+        const auto x = whole.justify(u.items(), cfg);
+        const auto y = more.justify_more([&] { return u.items(); }, added, cfg);
+        ASSERT_NO_FATAL_FAILURE(expect_same(x, y, primary, cand));
+        if (x) {
+          u.commit();
+          ++accepted;
+        } else {
+          u.undo();
+          ++rejected;
+        }
+      }
+    }
+    EXPECT_EQ(whole.rng().next(), more.rng().next());
+    EXPECT_GT(accepted, 0u);
+    EXPECT_GT(rejected, 0u);
+  }
 }
 
 TEST(Justify, StatsAccumulate) {

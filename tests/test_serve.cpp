@@ -5,12 +5,15 @@
 // slow-job trace capture), and per-request run-manifest emission under
 // concurrent sessions.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -20,6 +23,7 @@
 
 #include "base/error.hpp"
 #include "obs/json.hpp"
+#include "runtime/metrics.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request_queue.hpp"
@@ -74,6 +78,25 @@ struct Collector {
     std::unique_lock<std::mutex> lk(mu);
     cv.wait(lk, [&] { return responses.size() >= n; });
     return responses;
+  }
+};
+
+/// Blocks waiters until open() lets them through.
+struct Gate {
+  std::mutex mu;
+  std::condition_variable cv;
+  bool is_open = false;
+
+  void wait() {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return is_open; });
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lk(mu);
+      is_open = true;
+    }
+    cv.notify_all();
   }
 };
 
@@ -452,15 +475,24 @@ TEST(ServeServerTest, AdminQueriesDoNotPerturbResultBytes) {
 }
 
 TEST(ServeServerTest, HealthAndJobsReportLiveState) {
+  // Job 1's completion callback runs on the single worker and blocks until
+  // the admin queries are done, so job 2 is still queued when they run,
+  // however fast the jobs themselves are.
+  Collector collector;
+  Gate gate;
   serve::ServerConfig cfg;
   cfg.concurrency = 1;
   cfg.queue_depth = 8;
   serve::Server server(cfg);
+  // However the test exits, the gate opens before the server drains.
+  const std::unique_ptr<Gate, void (*)(Gate*)> release(
+      &gate, [](Gate* g) { g->open(); });
 
-  Collector collector;
-  // One job occupies the single worker, one parks in the queue, so the
-  // jobs listing observably contains live entries.
-  server.submit(small_job(1, 7, 800), collector.sink());
+  const auto collect = collector.sink();
+  server.submit(small_job(1, 7, 800), [&](serve::Response r) {
+    gate.wait();
+    collect(std::move(r));
+  });
   server.submit(small_job(2, 8, 800), collector.sink());
 
   const serve::Response health =
@@ -477,7 +509,7 @@ TEST(ServeServerTest, HealthAndJobsReportLiveState) {
       server.call(admin_request(serve::RequestKind::Jobs, 101));
   ASSERT_EQ(jobs.status, serve::Status::Ok);
   const auto& list = jobs.result.at("jobs").as_array();
-  EXPECT_GE(list.size(), 1u);  // at least the queued job is still live
+  bool job2_queued = false;
   for (const auto& j : list) {
     EXPECT_GT(j.at("id").as_int(), 0);
     EXPECT_EQ(j.at("kind").as_string(), "enrich");
@@ -487,7 +519,9 @@ TEST(ServeServerTest, HealthAndJobsReportLiveState) {
         << phase;
     EXPECT_GE(j.at("age_ms").as_int(), 0);
     EXPECT_FALSE(j.at("cancelled").as_bool());
+    job2_queued |= j.at("id").as_int() == 2 && phase == "queued";
   }
+  EXPECT_TRUE(job2_queued);
 
   const serve::Response prom =
       server.call(admin_request(serve::RequestKind::Prom, 102));
@@ -500,6 +534,7 @@ TEST(ServeServerTest, HealthAndJobsReportLiveState) {
   EXPECT_NE(text.find("# TYPE pdf_serve_uptime_seconds gauge"),
             std::string::npos);
 
+  gate.open();
   collector.wait_for(2);
   server.drain();
   const serve::Response drained =
@@ -513,14 +548,33 @@ TEST(ServeServerTest, SlowJobThresholdCapturesChromeTrace) {
   cfg.concurrency = 1;
   cfg.queue_depth = 4;
   cfg.manifest_dir = manifest_dir.path.string();
-  cfg.slow_job_ms = 1;  // a 800-pattern s27 job takes well over 1 ms
+  cfg.slow_job_ms = 1;
   serve::Server server(cfg);
+
+  // The job's manifest path is a FIFO: its write, inside the job's timed
+  // run, blocks until this thread opens the read end. That happens at least
+  // 5 ms after generation has visibly started, so the job runs longer than
+  // the 1 ms threshold however fast ATPG is.
+  const fs::path manifest = manifest_dir.path / "job-1.json";
+  ASSERT_EQ(::mkfifo(manifest.c_str(), 0600), 0);
+  const auto& generated = runtime::Metrics::global().timer("atpg.generate");
+  const std::uint64_t generated_before = generated.calls();
 
   Collector collector;
   server.submit(small_job(1, 9, 800), collector.sink());
+  while (generated.calls() == generated_before) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::ifstream manifest_in(manifest);  // releases the job's manifest write
+  std::stringstream manifest_text;
+  manifest_text << manifest_in.rdbuf();
+  EXPECT_EQ(obs::Json::parse(manifest_text.str()).at("schema").as_string(),
+            "pdf.run_manifest/1");
   const auto responses = collector.wait_for(1);
   ASSERT_EQ(responses[0].status, serve::Status::Ok)
       << responses[0].error.message;
+  EXPECT_GE(responses[0].run_ns, 5'000'000u);
   server.drain();
 
   std::vector<fs::path> traces;

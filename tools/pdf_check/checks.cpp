@@ -18,6 +18,7 @@
 #include "faults/screen.hpp"
 #include "faultsim/batch_sim.hpp"
 #include "faultsim/fault_sim.hpp"
+#include "implication/implication.hpp"
 #include "oracle/oracle.hpp"
 #include "paths/enumerate.hpp"
 #include "paths/path.hpp"
@@ -316,6 +317,102 @@ std::optional<std::string> check_selection(const Netlist& nl,
       if (!std::equal(items.begin(), items.end(), have.begin(), have.end())) {
         return where + "requirement union differs from the reference merge";
       }
+    }
+  }
+  return std::nullopt;
+}
+
+// ---- differential: incremental implication ---------------------------------
+
+std::optional<std::string> check_implication(const Netlist& nl,
+                                             std::uint64_t seed) {
+  // Steps: the robust path faults of the longest paths, which often
+  // contradict each other, and random triples such as x1x, one per line.
+  const LineDelayModel dm(nl);
+  EnumerationConfig ecfg;
+  ecfg.max_faults = 40;
+  std::vector<std::vector<ValueRequirement>> sets;
+  for (const auto& f :
+       faults_for_paths(enumerate_longest_paths(dm, ecfg).paths)) {
+    FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+    if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
+  }
+  Rng rng(mix(seed, 0x1c));
+  static const V3 kValues[] = {V3::Zero, V3::One, V3::X};
+  for (int k = 0; k < 10; ++k) {
+    std::vector<ValueRequirement> reqs;
+    const std::size_t n = 1 + rng.below(3);
+    for (std::size_t j = 0; j < n; ++j) {
+      Triple t{kValues[rng.below(3)], kValues[rng.below(3)],
+               kValues[rng.below(3)]};
+      if (t.all_x()) t.a2 = kValues[rng.below(2)];
+      reqs.push_back({static_cast<NodeId>(rng.below(nl.node_count())), t});
+    }
+    sets.push_back(std::move(reqs));
+  }
+
+  // A generator-like script per round: extend, then commit (accept), undo
+  // (reject) or extend again on top; after a contradiction undo or clear.
+  // After every step the incremental engine must equal a new engine's
+  // from-scratch closure of what it has accumulated.
+  const CompiledCircuit cc(nl);
+  ImplicationEngine inc(cc);
+  std::vector<ValueRequirement> committed, pending;
+  for (int round = 0; round < 4; ++round) {
+    inc.clear();
+    committed.clear();
+    pending.clear();
+    for (int step = 0; step < 12; ++step) {
+      const std::string where = "implication: round " + std::to_string(round) +
+                                " step " + std::to_string(step) + ": ";
+      // Compares `inc` with the from-scratch closure of `reqs`; the values
+      // only when both are consistent.
+      const auto compare =
+          [&](const std::vector<ValueRequirement>& reqs, bool consistent,
+              const char* after) -> std::optional<std::string> {
+        ImplicationEngine fresh(cc);
+        const ImplicationResult& want = fresh.imply(reqs);
+        if (consistent != want.consistent) {
+          return where + after + ": incremental " +
+                 (consistent ? "consistent" : "contradiction") +
+                 ", from-scratch " +
+                 (want.consistent ? "consistent" : "contradiction") + " (" +
+                 std::to_string(reqs.size()) + " requirements)";
+        }
+        if (!consistent) return std::nullopt;
+        for (NodeId id = 0; id < nl.node_count(); ++id) {
+          for (int q = 0; q < 3; ++q) {
+            if (inc.value(id, q) == want.values[id][q]) continue;
+            return where + after + ": node " + nl.node(id).name + " plane " +
+                   std::to_string(q) + ": incremental " +
+                   to_char(inc.value(id, q)) + ", from-scratch " +
+                   to_char(want.values[id][q]);
+          }
+        }
+        return std::nullopt;
+      };
+
+      const auto& add = sets[rng.below(sets.size())];
+      pending.insert(pending.end(), add.begin(), add.end());
+      const bool consistent = inc.extend(add);
+      if (auto bad = compare(pending, consistent, "extend")) return bad;
+      const char* after = nullptr;
+      if (!consistent && rng.coin()) {
+        inc.clear();
+        committed.clear();
+        after = "clear after a contradiction";
+      } else if (!consistent || rng.below(3) == 0) {
+        inc.undo();
+        after = consistent ? "undo" : "undo after a contradiction";
+      } else if (rng.below(4) == 0) {
+        continue;  // the next step extends on top of this one
+      } else {
+        inc.commit();
+        committed = pending;
+        after = "commit";
+      }
+      pending = committed;
+      if (auto bad = compare(committed, true, after)) return bad;
     }
   }
   return std::nullopt;
@@ -780,6 +877,7 @@ constexpr Check kChecks[] = {
     {"requirements_vs_oracle", 1, check_requirements},
     {"selection_agrees", 1, check_selection},
     {"justify_agrees", 1, check_justify},
+    {"implication_agrees", 1, check_implication},
     {"faultsim_vs_oracle", 1, check_faultsim},
     {"backends_agree", 2, check_backends},
     {"atpg_primary_targets", 2, check_atpg},
