@@ -1,6 +1,6 @@
 // Microbenchmarks of the hot engines (google-benchmark): full triple
-// simulation, event-driven PI probing, implication closure, justification,
-// and batched fault simulation.
+// simulation, implication closure, justification and batched fault
+// simulation.
 //
 // Special modes:
 //   micro_engines threads [--circuit NAME] [--backend NAME] [--csv] [--metrics]
@@ -68,7 +68,6 @@
 #include "sim/backend.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/triple_sim.hpp"
 #include "store/stage_cache.hpp"
 
@@ -121,25 +120,6 @@ void BM_CompiledPlaneSim(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * nl.node_count());
 }
 BENCHMARK(BM_CompiledPlaneSim);
-
-void BM_EventSimProbe(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  EventSim sim(nl);
-  Rng rng(2);
-  // Half-specified baseline.
-  for (std::size_t i = 0; i < nl.inputs().size(); i += 2) {
-    sim.set_pi(i, rng.coin() ? kSteady1 : kSteady0);
-  }
-  std::size_t i = 1;
-  for (auto _ : state) {
-    const std::size_t token = sim.begin_txn();
-    sim.set_pi(i % nl.inputs().size(), rng.coin() ? kRise : kFall);
-    benchmark::DoNotOptimize(sim.violations());
-    sim.rollback(token);
-    i += 2;
-  }
-}
-BENCHMARK(BM_EventSimProbe);
 
 void BM_Implication(benchmark::State& state) {
   const Netlist& nl = circuit();

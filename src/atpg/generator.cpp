@@ -65,7 +65,6 @@ class Generator {
             const GeneratorConfig& cfg)
       : cfg_(cfg),
         engine_(nl, cfg.seed),
-        bnb_(nl),
         fsim_(nl),
         union_(nl.node_count()) {
     const bool by_value = cfg.heuristic == CompactionHeuristic::Value;
@@ -132,7 +131,7 @@ class Generator {
   std::optional<TwoPatternTest> do_justify(
       std::span<const ValueRequirement> reqs) {
     if (cfg_.use_branch_and_bound) {
-      BnbResult r = bnb_.justify(reqs, cfg_.bnb);
+      BnbResult r = engine_.branch_and_bound(reqs, cfg_.bnb);
       if (r.status == BnbStatus::Satisfiable) return std::move(r.test);
       return std::nullopt;
     }
@@ -260,7 +259,6 @@ class Generator {
 
   GeneratorConfig cfg_;
   JustificationEngine engine_;
-  BnbJustifier bnb_;
   FaultSimulator fsim_;
   std::vector<SetState> sets_;
   RequirementUnion union_;

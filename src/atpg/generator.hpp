@@ -24,7 +24,6 @@
 #include <span>
 #include <vector>
 
-#include "atpg/bnb_justify.hpp"
 #include "atpg/justify.hpp"
 #include "atpg/test_pattern.hpp"
 #include "faults/screen.hpp"

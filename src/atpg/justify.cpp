@@ -45,6 +45,7 @@ JustificationEngine::JustificationEngine(const Netlist& nl, std::uint64_t seed)
   want0_.assign(cc_.node_count(), 0);
   queued_.assign(cc_.node_count(), 0);
   buckets_.resize(static_cast<std::size_t>(cc_.depth()) + 1);
+  check_.resize(cc_.node_count());
 }
 
 bool JustificationEngine::bit_specified(std::size_t input, int plane) const {
@@ -90,6 +91,9 @@ void JustificationEngine::write_input_lanes(std::size_t input) {
     LanePlane& p0 = plane_word(0, w)[id];
     LanePlane& p1 = plane_word(1, w)[id];
     LanePlane& p2 = plane_word(2, w)[id];
+    save_word(p0);
+    save_word(p1);
+    save_word(p2);
     bit_lanes(bit1_[input], lane_bit1_[input], w, p0.value, p0.known);
     bit_lanes(bit3_[input], lane_bit3_[input], w, p2.value, p2.known);
     // pi_triple per lane: the intermediate value is the pattern value where
@@ -199,8 +203,10 @@ void JustificationEngine::apply_bit(std::size_t input, int plane, V3 v) {
           LanePlane* const lanes = plane_word(q, w);
           const LanePlane before = lanes[id];
           sim::eval_packed_gate(cc_, id, lanes);
-          changed |= lanes[id].value != before.value ||
-                     lanes[id].known != before.known;
+          const bool moved = lanes[id].value != before.value ||
+                             lanes[id].known != before.known;
+          changed |= moved;
+          if (recording_ && moved) trail_.push_back({&lanes[id], before});
         }
       }
       lane_gate_evals_ += words_;
@@ -212,17 +218,18 @@ void JustificationEngine::apply_bit(std::size_t input, int plane, V3 v) {
   }
 }
 
-bool JustificationEngine::necessary_passes() {
+bool JustificationEngine::necessary_passes(std::uint64_t& probes,
+                                           std::uint64_t& passes) {
   bool progress = true;
   while (progress) {
     progress = false;
-    ++stats_.passes;
+    ++passes;
     // Scan the lanes in probing order. A forced bit is applied at once, so
     // every later bit of the pass is read against the updated state.
     for (std::size_t j = 0; j < lane_bits_.size(); ++j) {
       const Bit b = lane_bits_[j];
       if (bit_specified(b.input, b.plane)) continue;
-      stats_.probes += 2;
+      probes += 2;
       const bool c0 = lane_conflicts(2 * j);
       const bool c1 = lane_conflicts(2 * j + 1);
       if (c0 && c1) return false;
@@ -237,27 +244,29 @@ bool JustificationEngine::necessary_passes() {
 }
 
 bool JustificationEngine::satisfies(std::span<const ValueRequirement> reqs) {
-  // Word 0 of each plane, every lane holding the finished assignment; the
-  // incremental lane state is dead by now and is not read.
-  LanePlane* const planes[3] = {plane_word(0, 0), plane_word(1, 0),
-                                plane_word(2, 0)};
+  // The planes are independent copies of the logic, so lane q of one word
+  // carries plane q and one pass over the cone evaluates all three. check_
+  // is not the lane state, which is left as is.
+  LanePlane* const check = check_.data();
   for (std::size_t input : support_inputs_) {
     const Triple t = pi_triple(bit1_[input], bit3_[input]);
-    const NodeId id = cc_.inputs()[input];
+    LanePlane& p = check[cc_.inputs()[input]];
+    p = {};
     for (int q = 0; q < 3; ++q) {
-      bit_lanes(t[q], -1, 0, planes[q][id].value, planes[q][id].known);
+      if (!is_specified(t[q])) continue;
+      p.known |= std::uint64_t{1} << q;
+      if (t[q] == V3::One) p.value |= std::uint64_t{1} << q;
     }
   }
-  for (int q = 0; q < 3; ++q) {
-    for (NodeId id : cone_gates_) sim::eval_packed_gate(cc_, id, planes[q]);
-  }
+  for (NodeId id : cone_gates_) sim::eval_packed_gate(cc_, id, check);
   lane_gate_evals_ += cone_gates_.size();
   for (const auto& r : reqs) {
+    const LanePlane& have = check[r.line];
     for (int q = 0; q < 3; ++q) {
       const V3 want = r.value[q];
       if (!is_specified(want)) continue;
-      const LanePlane& have = planes[q][r.line];
-      if (!(have.known & 1) || (have.value & 1) != (want == V3::One ? 1u : 0u)) {
+      if (!((have.known >> q) & 1) ||
+          ((have.value >> q) & 1) != (want == V3::One ? 1u : 0u)) {
         return false;
       }
     }
@@ -265,14 +274,31 @@ bool JustificationEngine::satisfies(std::span<const ValueRequirement> reqs) {
   return true;
 }
 
-bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
-                                  const JustifyConfig& cfg) {
-  ++stats_.attempts;
+bool JustificationEngine::set_wants(std::span<const ValueRequirement> reqs) {
+  // The planes on which some requirement wants 1 / 0, per required line.
+  for (const auto& r : reqs) {
+    for (int q = 0; q < 3; ++q) {
+      const std::uint8_t bit = static_cast<std::uint8_t>(1u << q);
+      if (r.value[q] == V3::One) want1_[r.line] |= bit;
+      if (r.value[q] == V3::Zero) want0_[r.line] |= bit;
+    }
+  }
+  return std::none_of(reqs.begin(), reqs.end(), [&](const auto& r) {
+    return (want1_[r.line] & want0_[r.line]) != 0;
+  });
+}
+
+void JustificationEngine::clear_wants(std::span<const ValueRequirement> reqs) {
+  for (const auto& r : reqs) want1_[r.line] = want0_[r.line] = 0;
+}
+
+bool JustificationEngine::begin_assignment(
+    std::span<const ValueRequirement> reqs, bool seeded) {
   std::fill(bit1_.begin(), bit1_.end(), V3::X);
   std::fill(bit3_.begin(), bit3_.end(), V3::X);
 
   // The call's implication closure seeds the forced PI values.
-  if (cfg.use_implication_seed) {
+  if (seeded) {
     for (std::size_t i = 0; i < cc_.inputs().size(); ++i) {
       const NodeId id = cc_.inputs()[i];
       bit1_[i] = implication_.value(id, 0);
@@ -292,11 +318,17 @@ bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
     return is_specified(mid) && r.value.a1 != mid && r.value.a3 != mid;
   });
   init_lanes(reqs);
-  if (ref_conflicts()) return false;
+  return !ref_conflicts();
+}
+
+bool JustificationEngine::attempt(std::span<const ValueRequirement> reqs,
+                                  const JustifyConfig& cfg) {
+  ++stats_.attempts;
+  if (!begin_assignment(reqs, cfg.use_implication_seed)) return false;
 
   // Main loop: necessary values to fixpoint, then one decision, repeat.
   for (;;) {
-    if (!necessary_passes()) return false;
+    if (!necessary_passes(stats_.probes, stats_.passes)) return false;
 
     // Find an unspecified support bit; prefer the paper's "make a
     // half-specified input steady" decision.
@@ -348,10 +380,6 @@ std::optional<TwoPatternTest> JustificationEngine::justify_more(
   PDF_TRACE_SPAN("atpg.justify");
   static auto& probes_hist =
       runtime::Metrics::global().histogram("atpg.justify.probes");
-  static auto& updates =
-      runtime::Metrics::global().counter("atpg.justify.lane_updates");
-  static auto& gate_evals =
-      runtime::Metrics::global().counter("atpg.justify.lane_gate_evals");
   static auto& implication_rejects =
       runtime::Metrics::global().counter("atpg.justify.reject_implication");
   static auto& implied =
@@ -376,14 +404,7 @@ std::optional<TwoPatternTest> JustificationEngine::justify_more(
     implication_rejects.add(static_cast<std::uint64_t>(attempts));
   } else {
     const std::span<const ValueRequirement> reqs = source();
-    // The planes on which some requirement wants 1 / 0, per required line.
-    for (const auto& r : reqs) {
-      for (int q = 0; q < 3; ++q) {
-        const std::uint8_t bit = static_cast<std::uint8_t>(1u << q);
-        if (r.value[q] == V3::One) want1_[r.line] |= bit;
-        if (r.value[q] == V3::Zero) want0_[r.line] |= bit;
-      }
-    }
+    set_wants(reqs);
     for (int k = 0; k < attempts; ++k) {
       if (attempt(reqs, cfg)) {
         ++stats_.successes;
@@ -396,7 +417,7 @@ std::optional<TwoPatternTest> JustificationEngine::justify_more(
         break;
       }
     }
-    for (const auto& r : reqs) want1_[r.line] = want0_[r.line] = 0;
+    clear_wants(reqs);
   }
   if (!result) ++stats_.failures;
 
@@ -408,9 +429,157 @@ std::optional<TwoPatternTest> JustificationEngine::justify_more(
     }
   }
   probes_hist.record(stats_.probes - probes_before);
+  flush_lane_tallies();
+  return result;
+}
+
+void JustificationEngine::flush_lane_tallies() {
+  static auto& updates =
+      runtime::Metrics::global().counter("atpg.justify.lane_updates");
+  static auto& gate_evals =
+      runtime::Metrics::global().counter("atpg.justify.lane_gate_evals");
   updates.add(std::exchange(lane_updates_, 0));
   gate_evals.add(std::exchange(lane_gate_evals_, 0));
+}
+
+JustificationEngine::Search JustificationEngine::search(
+    std::span<const ValueRequirement> reqs) {
+  std::uint64_t passes = 0;  // BnbStats counts no passes
+  if (!necessary_passes(bnb_stats_.probes, passes)) return Search::Unsat;
+
+  // Decision bit: prefer a half-specified input (and try the copy value
+  // first, making the input steady) — hazard-freedom constraints on the
+  // intermediate plane are only satisfiable through steady inputs, and this
+  // ordering reaches such assignments without exhausting the subtree of
+  // gratuitous transitions. Falls back to the first free first-pattern bit.
+  std::size_t input = static_cast<std::size_t>(-1);
+  int plane = 0;
+  V3 first_value = V3::Zero;
+  for (std::size_t i : support_inputs_) {
+    const bool s1 = bit_specified(i, 0);
+    const bool s3 = bit_specified(i, 2);
+    if (s1 != s3) {
+      input = i;
+      plane = s1 ? 2 : 0;
+      first_value = s1 ? bit1_[i] : bit3_[i];
+      break;
+    }
+    if (!s1 && input == static_cast<std::size_t>(-1)) {
+      input = i;
+      plane = 0;
+      first_value = V3::Zero;
+    }
+  }
+  // Leaf: the support is fully assigned.
+  if (input == static_cast<std::size_t>(-1)) {
+    return satisfies(reqs) ? Search::Sat : Search::Unsat;
+  }
+
+  ++bnb_stats_.decisions;
+  // Save point: the trail mark, the support bits and the conflict words.
+  const std::size_t mark = trail_.size();
+  const std::size_t bits_at = saved_bits_.size();
+  const std::size_t conflicts_at = saved_conflicts_.size();
+  for (std::size_t i : support_inputs_) {
+    saved_bits_.push_back(bit1_[i]);
+    saved_bits_.push_back(bit3_[i]);
+  }
+  saved_conflicts_.insert(saved_conflicts_.end(), conflict_.begin(),
+                          conflict_.end());
+
+  Search result = Search::Unsat;
+  for (V3 v : {first_value, not3(first_value)}) {
+    apply_bit(input, plane, v);
+    if (!ref_conflicts()) {
+      // Keep the assignment on success; an abort ends the call.
+      result = search(reqs);
+      if (result != Search::Unsat) break;
+    }
+#ifdef PATHDELAY_MUTATION_BNB_STALE_BACKTRACK
+    // Seeded bug (mutation testing only): the backtrack leaves the newest
+    // overwritten lane word stale, so later probes read a value of the
+    // abandoned branch. The leaf check is from scratch, so only the search
+    // changes — bnb_agrees must catch it.
+    if (trail_.size() > mark) trail_.pop_back();
+#endif
+    while (trail_.size() > mark) {
+      *trail_.back().slot = trail_.back().old;
+      trail_.pop_back();
+    }
+    auto bit = saved_bits_.begin() + static_cast<std::ptrdiff_t>(bits_at);
+    for (std::size_t i : support_inputs_) {
+      bit1_[i] = *bit++;
+      bit3_[i] = *bit++;
+    }
+    const auto conflicts =
+        saved_conflicts_.begin() + static_cast<std::ptrdiff_t>(conflicts_at);
+    std::copy(conflicts, saved_conflicts_.end(), conflict_.begin());
+    if (++bnb_stats_.backtracks > backtrack_limit_) {
+      result = Search::Abort;
+      break;
+    }
+  }
+  saved_bits_.resize(bits_at);
+  saved_conflicts_.resize(conflicts_at);
   return result;
+}
+
+BnbResult JustificationEngine::branch_and_bound(
+    std::span<const ValueRequirement> reqs, const BnbConfig& cfg) {
+  PDF_TRACE_SPAN("atpg.bnb_justify");
+  static auto& backtracks_hist =
+      runtime::Metrics::global().histogram("atpg.bnb.backtracks");
+  ++bnb_stats_.calls;
+  const BnbStats before = bnb_stats_;
+  backtrack_limit_ = before.backtracks + cfg.max_backtracks;
+
+  // Two contradictory values on one line leave nothing to search.
+  Search res = Search::Unsat;
+  if (set_wants(reqs)) {
+    bool consistent = true;
+    if (cfg.use_implication_seed) {
+      implication_.clear();
+      consistent = implication_.extend(reqs);
+    }
+    if (consistent && begin_assignment(reqs, cfg.use_implication_seed)) {
+      recording_ = true;
+      res = search(reqs);
+      recording_ = false;
+      trail_.clear();
+    }
+    // The seed is in the bits by now; drop the closure.
+    if (cfg.use_implication_seed) implication_.clear();
+  }
+  clear_wants(reqs);
+
+  BnbResult out;
+  switch (res) {
+    case Search::Sat:
+      out.status = BnbStatus::Satisfiable;
+      ++bnb_stats_.sat;
+      // Bits outside the support cannot affect any required line: steady 0
+      // unless implication fixed them.
+      out.test.pi_values.resize(bit1_.size());
+      for (std::size_t i = 0; i < bit1_.size(); ++i) {
+        out.test.pi_values[i] =
+            pi_triple(is_specified(bit1_[i]) ? bit1_[i] : V3::Zero,
+                      is_specified(bit3_[i]) ? bit3_[i] : V3::Zero);
+      }
+      break;
+    case Search::Unsat:
+      out.status = BnbStatus::Unsatisfiable;
+      ++bnb_stats_.unsat;
+      break;
+    case Search::Abort:
+      out.status = BnbStatus::Aborted;
+      ++bnb_stats_.aborted;
+      break;
+  }
+  out.backtracks = bnb_stats_.backtracks - before.backtracks;
+  out.decisions = bnb_stats_.decisions - before.decisions;
+  backtracks_hist.record(out.backtracks);
+  flush_lane_tallies();
+  return out;
 }
 
 }  // namespace pdf

@@ -48,7 +48,30 @@
 //     the intermediate plane is simulated only when a requirement can
 //     conflict there alone (see attempt());
 //   * the finished test is checked by a from-scratch evaluation of the
-//     cone on all three planes, independent of the incremental lane state.
+//     cone, all three planes in the lanes of one word of its own,
+//     independent of the incremental lane state.
+//
+// Branch-and-bound (branch_and_bound()) is a second search over the same
+// lane state. The paper notes that its run-to-run variations "can be
+// eliminated by using a branch-and-bound procedure instead of a
+// simulation-based procedure for justification"; this is that complete
+// search over the pattern bits of the support:
+//   * every search node runs the same necessary-value fixpoint as the greedy
+//     attempt (both conflict -> dead branch, one conflicts -> forced);
+//   * a decision takes the first half-specified support input with its copy
+//     value (making it steady), otherwise the first free first-pattern bit
+//     at 0, then tries the complement;
+//   * backtracking uses an undo trail: while a search runs, apply_bit() and
+//     write_input_lanes() record every lane word they overwrite, a decision
+//     saves the support bits and the conflict words, and a backtrack
+//     restores all three instead of re-evaluating the cone;
+//   * a leaf (support fully assigned) succeeds only when satisfies() does,
+//     hazard-freedom demands on the intermediate plane included.
+// Within its backtrack budget the search is exact: Satisfiable comes with a
+// witness, Unsatisfiable proves no two-pattern test meets the requirements,
+// Aborted means the budget ran out. It draws no random numbers;
+// `oracle::branch_and_bound` implements it with one simulation per probe and
+// `pdf_check --check bnb_agrees` compares the two.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +105,33 @@ struct JustifyStats {
   std::uint64_t failures = 0;
 };
 
+enum class BnbStatus { Satisfiable, Unsatisfiable, Aborted };
+
+struct BnbConfig {
+  /// Backtrack budget; exceeded -> Aborted.
+  std::size_t max_backtracks = 2000;
+  /// Seed the search with one static implication pass over the requirements.
+  bool use_implication_seed = true;
+};
+
+struct BnbStats {
+  std::uint64_t calls = 0;
+  std::uint64_t decisions = 0;
+  std::uint64_t backtracks = 0;
+  std::uint64_t probes = 0;
+  std::uint64_t sat = 0;
+  std::uint64_t unsat = 0;
+  std::uint64_t aborted = 0;
+};
+
+struct BnbResult {
+  BnbStatus status = BnbStatus::Aborted;
+  /// Witness (fully specified) when status == Satisfiable.
+  TwoPatternTest test;
+  std::size_t backtracks = 0;
+  std::size_t decisions = 0;
+};
+
 class JustificationEngine {
  public:
   /// Compiles `nl` once; the implication engine shares the flattened view.
@@ -108,7 +158,15 @@ class JustificationEngine {
       const Requirements& reqs, std::span<const ValueRequirement> added,
       const JustifyConfig& cfg = {});
 
+  /// Complete branch-and-bound search for a test satisfying `reqs`; bits
+  /// outside the support that no implication fixed are 0 in the witness.
+  /// It resets the kept implication closure, so justify_more()'s
+  /// precondition does not hold right after it.
+  BnbResult branch_and_bound(std::span<const ValueRequirement> reqs,
+                             const BnbConfig& cfg = {});
+
   const JustifyStats& stats() const { return stats_; }
+  const BnbStats& bnb_stats() const { return bnb_stats_; }
   Rng& rng() { return rng_; }
 
  private:
@@ -124,7 +182,24 @@ class JustificationEngine {
     std::uint64_t known = 0;
   };
 
+  enum class Search { Sat, Unsat, Abort };
+  /// A lane word overwritten during a branch-and-bound search.
+  struct TrailEntry {
+    LanePlane* slot;
+    LanePlane old;
+  };
+
+  /// Sets want1_/want0_ for `reqs`; false when two requirements want
+  /// opposite values on one plane of one line.
+  bool set_wants(std::span<const ValueRequirement> reqs);
+  void clear_wants(std::span<const ValueRequirement> reqs);
+  /// Starts an assignment: every bit x, or the implication closure's PI
+  /// values when `seeded`, then the support, the cone and the lanes. False
+  /// when that assignment already conflicts with `reqs`.
+  bool begin_assignment(std::span<const ValueRequirement> reqs, bool seeded);
   bool attempt(std::span<const ValueRequirement> reqs, const JustifyConfig& cfg);
+  /// One branch-and-bound search node and its subtree.
+  Search search(std::span<const ValueRequirement> reqs);
   void compute_support(std::span<const ValueRequirement> reqs);
   bool bit_specified(std::size_t input, int plane) const;
   /// Gives every unspecified support bit its two lanes, adds the reference
@@ -144,11 +219,18 @@ class JustificationEngine {
   bool plane_simulated(int q) const { return q != 1 || hazard_plane_; }
   /// The current assignment conflicts with a requirement.
   bool ref_conflicts() const { return lane_conflicts(2 * lane_bits_.size()); }
-  /// Runs necessary-value passes to fixpoint; false on a both-values-conflict
-  /// failure.
-  bool necessary_passes();
-  /// From-scratch check of the finished assignment on all three planes.
+  /// Runs necessary-value passes to fixpoint, adding to `probes` and
+  /// `passes`; false on a both-values-conflict failure.
+  bool necessary_passes(std::uint64_t& probes, std::uint64_t& passes);
+  /// From-scratch check of the finished assignment on all three planes, in
+  /// check_ rather than the lanes.
   bool satisfies(std::span<const ValueRequirement> reqs);
+  /// Records a lane word about to be overwritten, while a search runs.
+  void save_word(LanePlane& slot) {
+    if (recording_) trail_.push_back({&slot, slot});
+  }
+  /// Adds and zeroes the lane tallies.
+  void flush_lane_tallies();
   /// Word `w` of plane `q`: one node-indexed array of LanePlane.
   LanePlane* plane_word(int q, std::size_t w) {
     return lanes_[q].data() + w * cc_.node_count();
@@ -176,6 +258,15 @@ class JustificationEngine {
   std::vector<std::vector<NodeId>> buckets_;  // per level: queued gates
   std::vector<char> queued_;                  // per node
   bool hazard_plane_ = false;  // some requirement needs the intermediate plane
+  std::vector<LanePlane> check_;  // per node, lane q = plane q: satisfies()
+
+  // Branch-and-bound state of one call.
+  BnbStats bnb_stats_;
+  bool recording_ = false;             // overwritten lane words go to trail_
+  std::vector<TrailEntry> trail_;
+  std::vector<V3> saved_bits_;         // per open decision: support bits
+  std::vector<std::uint64_t> saved_conflicts_;  // per open decision: conflict_
+  std::uint64_t backtrack_limit_ = 0;  // more backtracks in total abort
 
   // Metric tallies, added to runtime::Metrics once per call.
   std::uint64_t lane_updates_ = 0;

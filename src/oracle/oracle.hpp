@@ -204,4 +204,21 @@ std::optional<TwoPatternTest> justify(const Netlist& nl,
                                       int max_attempts = 1,
                                       std::vector<JustifyEvent>* trace = nullptr);
 
+/// The complete branch-and-bound justification of `reqs` with one full
+/// `simulate` per probe and no implication seeding. A set with two opposite
+/// values on one plane of a line is Unsatisfiable at once, as is one whose
+/// all-x assignment conflicts. Each search node runs the greedy necessary-
+/// value fixpoint (two probes per scanned bit, each forced bit applied at
+/// once), then decides the first half-specified support input with its copy
+/// value, otherwise the first free first-pattern bit at 0, and tries the
+/// complement after a failure. Every failed value is one backtrack; more
+/// than `max_backtracks` in the call aborts it. A leaf succeeds when its
+/// simulation satisfies every requirement; the witness fills bits outside
+/// the support with 0. Counts into `stats` like
+/// `JustificationEngine::branch_and_bound` with `use_implication_seed =
+/// false`, which must return the same result.
+BnbResult branch_and_bound(const Netlist& nl,
+                           std::span<const ValueRequirement> reqs,
+                           std::size_t max_backtracks, BnbStats& stats);
+
 }  // namespace pdf::oracle

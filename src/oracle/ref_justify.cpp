@@ -7,6 +7,11 @@
 // before second; decide on a half-specified input first, otherwise a random
 // free support bit; fill the bits outside the support last — so with the
 // same seeded Rng the two must agree on every bit and every count.
+//
+// The branch-and-bound search is written the same way: a copied assignment
+// per search node, the same fixpoint (two probes per scanned bit, each forced
+// bit applied at once), the same decision rule and the same backtrack budget
+// as `JustificationEngine::branch_and_bound`.
 #include <map>
 #include <set>
 
@@ -31,6 +36,19 @@ std::map<NodeId, Triple> merged_requirements(
 
 bool plane_conflicts(V3 have, V3 want) {
   return have != V3::X && want != V3::X && have != want;
+}
+
+/// True when two requirements want opposite values on one plane of a line.
+bool self_conflicting(std::span<const ValueRequirement> reqs) {
+  const std::map<NodeId, Triple> merged = merged_requirements(reqs);
+  for (const auto& r : reqs) {
+    const Triple& t = merged.at(r.line);
+    if (plane_conflicts(t.a1, r.value.a1) || plane_conflicts(t.a2, r.value.a2) ||
+        plane_conflicts(t.a3, r.value.a3)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 /// Input indices in the transitive fanin of the required lines, ascending.
@@ -208,6 +226,130 @@ std::optional<TwoPatternTest> justify(const Netlist& nl,
   }
   ++stats.failures;
   return std::nullopt;
+}
+
+namespace {
+
+/// The branch-and-bound search over one requirement set.
+struct BnbSearch {
+  enum class Outcome { Sat, Unsat, Abort };
+
+  const Netlist& nl;
+  const std::map<NodeId, Triple>& required;
+  const std::vector<std::size_t>& support;
+  std::size_t budget;
+  BnbStats& stats;
+  BnbResult& out;
+
+  /// Necessary values to a fixpoint: probe every unspecified support bit
+  /// with 0 and with 1 until a whole pass forces nothing. False when both
+  /// values of a bit conflict or a forced bit does.
+  bool forced_values(Assignment& a) {
+    bool progress = true;
+    while (progress) {
+      progress = false;
+      for (std::size_t input : support) {
+        for (int plane : {0, 2}) {
+          if (a.bit(input, plane) != V3::X) continue;
+          bool conflict[2];
+          for (const V3 v : {V3::Zero, V3::One}) {
+            ++stats.probes;
+            Assignment probe = a;
+            probe.bit(input, plane) = v;
+            conflict[v == V3::One] = conflicts(nl, required, probe);
+          }
+          if (conflict[0] && conflict[1]) return false;
+          if (conflict[0] != conflict[1]) {
+            a.bit(input, plane) = conflict[0] ? V3::One : V3::Zero;
+            if (conflicts(nl, required, a)) return false;
+            progress = true;
+          }
+        }
+      }
+    }
+    return true;
+  }
+
+  /// Searches below `a`; on Sat, `a` holds the satisfying assignment.
+  Outcome solve(Assignment& a) {
+    if (!forced_values(a)) return Outcome::Unsat;
+
+    // Decision: the first half-specified input gets its other pattern's
+    // value first; otherwise the first free first-pattern bit gets 0 first.
+    std::size_t input = a.first.size();
+    int plane = 0;
+    V3 first_value = V3::Zero;
+    for (std::size_t i : support) {
+      const bool s1 = a.first[i] != V3::X;
+      const bool s3 = a.second[i] != V3::X;
+      if (s1 != s3) {
+        input = i;
+        plane = s1 ? 2 : 0;
+        first_value = s1 ? a.first[i] : a.second[i];
+        break;
+      }
+      if (!s1 && input == a.first.size()) input = i;
+    }
+    if (input == a.first.size()) {
+      return satisfies(nl, required, a) ? Outcome::Sat : Outcome::Unsat;
+    }
+
+    ++out.decisions;
+    ++stats.decisions;
+    for (const V3 v : {first_value, not3(first_value)}) {
+      Assignment child = a;
+      child.bit(input, plane) = v;
+      if (!conflicts(nl, required, child)) {
+        const Outcome sub = solve(child);
+        if (sub == Outcome::Sat) a = std::move(child);
+        if (sub != Outcome::Unsat) return sub;
+      }
+      ++out.backtracks;
+      ++stats.backtracks;
+      if (out.backtracks > budget) return Outcome::Abort;
+    }
+    return Outcome::Unsat;
+  }
+};
+
+}  // namespace
+
+BnbResult branch_and_bound(const Netlist& nl,
+                           std::span<const ValueRequirement> reqs,
+                           std::size_t max_backtracks, BnbStats& stats) {
+  ++stats.calls;
+  BnbResult out;
+  out.status = BnbStatus::Unsatisfiable;
+  if (!self_conflicting(reqs)) {
+    const std::map<NodeId, Triple> required = merged_requirements(reqs);
+    const std::vector<std::size_t> support = support_of(nl, required);
+    const std::size_t n = nl.inputs().size();
+    Assignment a{std::vector<V3>(n, V3::X), std::vector<V3>(n, V3::X)};
+    if (!conflicts(nl, required, a)) {
+      BnbSearch search{nl, required, support, max_backtracks, stats, out};
+      switch (search.solve(a)) {
+        case BnbSearch::Outcome::Sat: {
+          out.status = BnbStatus::Satisfiable;
+          // Bits outside the support: steady 0.
+          for (std::size_t i = 0; i < n; ++i) {
+            for (int plane : {0, 2}) {
+              if (a.bit(i, plane) == V3::X) a.bit(i, plane) = V3::Zero;
+            }
+          }
+          out.test.pi_values = a.pi_values();
+          break;
+        }
+        case BnbSearch::Outcome::Unsat: break;
+        case BnbSearch::Outcome::Abort: out.status = BnbStatus::Aborted; break;
+      }
+    }
+  }
+  switch (out.status) {
+    case BnbStatus::Satisfiable: ++stats.sat; break;
+    case BnbStatus::Unsatisfiable: ++stats.unsat; break;
+    case BnbStatus::Aborted: ++stats.aborted; break;
+  }
+  return out;
 }
 
 }  // namespace pdf::oracle

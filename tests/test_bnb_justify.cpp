@@ -1,5 +1,3 @@
-#include "atpg/bnb_justify.hpp"
-
 #include <gtest/gtest.h>
 
 #include "atpg/generator.hpp"
@@ -24,9 +22,9 @@ std::vector<TargetFault> screened_faults(const Netlist& nl) {
 
 TEST(BnbJustify, SatisfiableWithWitness) {
   const Netlist nl = testutil::tiny_and_or();
-  BnbJustifier bnb(nl);
+  JustificationEngine bnb(nl, 1);
   const ValueRequirement reqs[] = {{nl.id_of("y"), kRise}};
-  const BnbResult r = bnb.justify(reqs);
+  const BnbResult r = bnb.branch_and_bound(reqs);
   ASSERT_EQ(r.status, BnbStatus::Satisfiable);
   EXPECT_TRUE(r.test.fully_specified());
   FaultSimulator fsim(nl);
@@ -35,32 +33,32 @@ TEST(BnbJustify, SatisfiableWithWitness) {
 
 TEST(BnbJustify, ProvesUnsatisfiability) {
   const Netlist nl = testutil::reconvergent();
-  BnbJustifier bnb(nl);
+  JustificationEngine bnb(nl, 1);
   const ValueRequirement reqs[] = {
       {nl.id_of("p"), kSteady1},
       {nl.id_of("z"), kSteady1},
   };
-  EXPECT_EQ(bnb.justify(reqs).status, BnbStatus::Unsatisfiable);
+  EXPECT_EQ(bnb.branch_and_bound(reqs).status, BnbStatus::Unsatisfiable);
   // Also without the implication shortcut: the pure search must prove it.
   BnbConfig cfg;
   cfg.use_implication_seed = false;
-  EXPECT_EQ(bnb.justify(reqs, cfg).status, BnbStatus::Unsatisfiable);
+  EXPECT_EQ(bnb.branch_and_bound(reqs, cfg).status, BnbStatus::Unsatisfiable);
 }
 
 TEST(BnbJustify, SelfConflictingSetIsUnsatisfiable) {
-  // Two contradictory values on one line: no test exists, and the justifier
-  // must say so before handing the set to its event simulator.
+  // Two contradictory values on one line: no test exists, and the search
+  // must say so before it sets up any lanes.
   const Netlist nl = testutil::tiny_and_or();
-  BnbJustifier bnb(nl);
+  JustificationEngine bnb(nl, 1);
   const ValueRequirement reqs[] = {
       {nl.id_of("y"), kRise},
       {nl.id_of("y"), kSteady0},
   };
-  EXPECT_EQ(bnb.justify(reqs).status, BnbStatus::Unsatisfiable);
-  EXPECT_EQ(bnb.stats().unsat, 1u);
+  EXPECT_EQ(bnb.branch_and_bound(reqs).status, BnbStatus::Unsatisfiable);
+  EXPECT_EQ(bnb.bnb_stats().unsat, 1u);
   // The justifier stays usable for a consistent set afterwards.
   const ValueRequirement ok[] = {{nl.id_of("y"), kRise}};
-  EXPECT_EQ(bnb.justify(ok).status, BnbStatus::Satisfiable);
+  EXPECT_EQ(bnb.branch_and_bound(ok).status, BnbStatus::Satisfiable);
 }
 
 TEST(BnbJustify, ExactOnSmallCircuits) {
@@ -74,7 +72,7 @@ TEST(BnbJustify, ExactOnSmallCircuits) {
     const Netlist nl = testutil::random_small_netlist(rng);
     if (nl.inputs().size() > 5) continue;
     ++circuits;
-    BnbJustifier bnb(nl);
+    JustificationEngine bnb(nl, 1);
     FaultSimulator fsim(nl);
 
     for (int trial = 0; trial < 8; ++trial) {
@@ -98,7 +96,7 @@ TEST(BnbJustify, ExactOnSmallCircuits) {
             exists = true;
           });
 
-      const BnbResult r = bnb.justify(reqs, cfg);
+      const BnbResult r = bnb.branch_and_bound(reqs, cfg);
       ASSERT_NE(r.status, BnbStatus::Aborted);
       EXPECT_EQ(r.status == BnbStatus::Satisfiable, exists)
           << "circuit " << iter << " trial " << trial;
@@ -117,12 +115,12 @@ TEST(BnbJustify, SucceedsWhereverGreedyDoes) {
   const Netlist nl = benchmark_circuit("b03_like");
   const auto faults = screened_faults(nl);
   JustificationEngine greedy(nl, 11);
-  BnbJustifier bnb(nl);
+  JustificationEngine bnb(nl, 1);
   std::size_t greedy_ok = 0, both = 0, bnb_only = 0;
   const std::size_t limit = std::min<std::size_t>(faults.size(), 80);
   for (std::size_t i = 0; i < limit; ++i) {
     const bool g = greedy.justify(faults[i].requirements).has_value();
-    const BnbResult b = bnb.justify(faults[i].requirements);
+    const BnbResult b = bnb.branch_and_bound(faults[i].requirements);
     if (g) {
       ++greedy_ok;
       // A complete method can never fail where an incomplete one succeeded.
@@ -141,30 +139,31 @@ TEST(BnbJustify, SucceedsWhereverGreedyDoes) {
 TEST(BnbJustify, AbortOnTinyBudget) {
   const Netlist nl = benchmark_circuit("s1196_like");
   const auto faults = screened_faults(nl);
-  BnbJustifier bnb(nl);
+  JustificationEngine bnb(nl, 1);
   BnbConfig cfg;
   cfg.max_backtracks = 0;
   cfg.use_implication_seed = false;
   int aborted = 0;
   for (std::size_t i = 0; i < std::min<std::size_t>(faults.size(), 40); ++i) {
-    if (bnb.justify(faults[i].requirements, cfg).status == BnbStatus::Aborted) {
+    if (bnb.branch_and_bound(faults[i].requirements, cfg).status ==
+        BnbStatus::Aborted) {
       ++aborted;
     }
   }
   // With zero backtracks allowed, any fault needing one aborts; at least the
   // stats must be consistent.
-  EXPECT_EQ(bnb.stats().sat + bnb.stats().unsat + bnb.stats().aborted,
-            bnb.stats().calls);
+  const BnbStats& s = bnb.bnb_stats();
+  EXPECT_EQ(s.sat + s.unsat + s.aborted, s.calls);
   (void)aborted;
 }
 
 TEST(BnbJustify, DeterministicAcrossRuns) {
   const Netlist nl = benchmark_circuit("b09_like");
   const auto faults = screened_faults(nl);
-  BnbJustifier a(nl), b(nl);
+  JustificationEngine a(nl, 1), b(nl, 2);
   for (std::size_t i = 0; i < std::min<std::size_t>(faults.size(), 20); ++i) {
-    const BnbResult ra = a.justify(faults[i].requirements);
-    const BnbResult rb = b.justify(faults[i].requirements);
+    const BnbResult ra = a.branch_and_bound(faults[i].requirements);
+    const BnbResult rb = b.branch_and_bound(faults[i].requirements);
     EXPECT_EQ(ra.status, rb.status);
     if (ra.status == BnbStatus::Satisfiable) {
       EXPECT_EQ(ra.test.pi_values, rb.test.pi_values);

@@ -8,7 +8,6 @@
 #include "gen/random_circuit.hpp"
 #include "gen/registry.hpp"
 #include "oracle/oracle.hpp"
-#include "sim/event_sim.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
 
@@ -179,27 +178,6 @@ TEST(CompiledCircuit, DifferentialOnGeneratedBenchmarks) {
       for (NodeId id = 0; id < nl.node_count(); ++id) {
         ASSERT_EQ(compiled[id], ref[id]) << "seed " << seed << " node " << id;
       }
-    }
-  }
-}
-
-// A borrowed-view event simulator driven one PI at a time must land on the
-// same quiescent values as a full pass.
-TEST(CompiledCircuit, EventSimMatchesFullSimulation) {
-  Rng rng(555);
-  for (int iter = 0; iter < 20; ++iter) {
-    const Netlist nl = testutil::random_small_netlist(rng);
-    const CompiledCircuit cc(nl);
-    EventSim sim(cc);
-    std::vector<Triple> pis(nl.inputs().size());
-    for (std::size_t i = 0; i < pis.size(); ++i) {
-      const V3 vals[] = {V3::Zero, V3::One, V3::X};
-      pis[i] = pi_triple(vals[rng.below(3)], vals[rng.below(3)]);
-      sim.set_pi(i, pis[i]);
-    }
-    const auto full = simulate(nl, pis);
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-      EXPECT_EQ(sim.value(id), full[id]) << nl.node(id).name;
     }
   }
 }

@@ -545,6 +545,94 @@ std::optional<std::string> check_justify(const Netlist& nl, std::uint64_t seed) 
   return std::nullopt;
 }
 
+// ---- differential: branch-and-bound justification -------------------------
+
+std::string status_name(BnbStatus s) {
+  switch (s) {
+    case BnbStatus::Satisfiable: return "satisfiable";
+    case BnbStatus::Unsatisfiable: return "unsatisfiable";
+    case BnbStatus::Aborted: return "aborted";
+  }
+  return "?";
+}
+
+std::optional<std::string> check_bnb(const Netlist& nl, std::uint64_t seed) {
+  // Requirement sets: the robust path faults of the longest paths, unions of
+  // two to four of them (conflicting ones included) and random triples such
+  // as x1x, one or more per line.
+  const LineDelayModel dm(nl);
+  EnumerationConfig ecfg;
+  ecfg.max_faults = 30;
+  std::vector<std::vector<ValueRequirement>> sets;
+  for (const auto& f :
+       faults_for_paths(enumerate_longest_paths(dm, ecfg).paths)) {
+    FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+    if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
+  }
+  Rng rng(mix(seed, 0xbb));
+  const std::size_t singles = sets.size();
+  for (int k = 0; k < 10 && singles > 0; ++k) {
+    std::vector<ValueRequirement> u = sets[rng.below(singles)];
+    for (std::size_t m = 1 + rng.below(3); m > 0; --m) {
+      const auto& more = sets[rng.below(singles)];
+      u.insert(u.end(), more.begin(), more.end());
+    }
+    sets.push_back(std::move(u));
+  }
+  static const V3 kValues[] = {V3::Zero, V3::One, V3::X};
+  for (int k = 0; k < 10; ++k) {
+    std::vector<ValueRequirement> reqs;
+    const std::size_t n = 1 + rng.below(4);
+    for (std::size_t j = 0; j < n; ++j) {
+      Triple t{kValues[rng.below(3)], kValues[rng.below(3)],
+               kValues[rng.below(3)]};
+      if (t.all_x()) t.a2 = kValues[rng.below(2)];
+      reqs.push_back({static_cast<NodeId>(rng.below(nl.node_count())), t});
+    }
+    sets.push_back(std::move(reqs));
+  }
+
+  // One engine across every set, as in the generator; tiny budgets reach
+  // Aborted, the largest one mostly exact verdicts. The totals agree before
+  // every call, so one probe mark serves both.
+  static const std::size_t kBudgets[] = {0, 1, 3, 200};
+  JustificationEngine engine(nl, mix(seed, 0xbc));
+  BnbStats ref_stats;
+  BnbConfig cfg;
+  cfg.use_implication_seed = false;
+  for (std::size_t k = 0; k < sets.size(); ++k) {
+    cfg.max_backtracks = kBudgets[rng.below(4)];
+    const std::uint64_t probes_before = ref_stats.probes;
+    const BnbResult got = engine.branch_and_bound(sets[k], cfg);
+    const BnbResult want =
+        oracle::branch_and_bound(nl, sets[k], cfg.max_backtracks, ref_stats);
+    const BnbStats& s = engine.bnb_stats();
+    if (got.status == want.status && got.decisions == want.decisions &&
+        got.backtracks == want.backtracks && s.probes == ref_stats.probes &&
+        got.test.pi_values == want.test.pi_values) {
+      continue;
+    }
+    const auto describe = [](const BnbResult& r, std::uint64_t probes) {
+      return status_name(r.status) + " (decisions " +
+             std::to_string(r.decisions) + ", backtracks " +
+             std::to_string(r.backtracks) + ", probes " +
+             std::to_string(probes) + ")";
+    };
+    std::string msg =
+        "bnb: requirement set " + std::to_string(k) + " (" +
+        std::to_string(sets[k].size()) + " requirements, budget " +
+        std::to_string(cfg.max_backtracks) + "): engine " +
+        describe(got, s.probes - probes_before) + ", reference " +
+        describe(want, ref_stats.probes - probes_before);
+    if (got.status == want.status && got.status == BnbStatus::Satisfiable) {
+      msg += "; witnesses " + describe_test(got.test) + " vs " +
+             describe_test(want.test);
+    }
+    return msg;
+  }
+  return std::nullopt;
+}
+
 // ---- differential: fault simulation ----------------------------------------
 
 std::optional<std::string> check_faultsim(const Netlist& nl, std::uint64_t seed) {
@@ -877,6 +965,7 @@ constexpr Check kChecks[] = {
     {"requirements_vs_oracle", 1, check_requirements},
     {"selection_agrees", 1, check_selection},
     {"justify_agrees", 1, check_justify},
+    {"bnb_agrees", 1, check_bnb},
     {"implication_agrees", 1, check_implication},
     {"faultsim_vs_oracle", 1, check_faultsim},
     {"backends_agree", 2, check_backends},
