@@ -7,6 +7,17 @@
 // Faults passing both screens may still be undetectable (the screens are
 // necessary-condition checks, not a complete proof), matching the paper: its
 // detected-fault counts stay below the target totals for the same reason.
+//
+// Screen (2) runs in lane batches. Faults are read in input order; each one
+// that passes screen (1) takes the next lane of a LaneImplication
+// (implication/implication.hpp), and a full batch of 256 (or the last,
+// partial one) is closed in a few whole-circuit sweeps instead of one
+// worklist closure per fault. Both closures reach the least fixpoint of the
+// same monotone rules, so a lane contradicts exactly when
+// ImplicationEngine::contradicts() would: the survivors, their order, their
+// requirements and ScreenStats equal the per-fault screen's. Only one
+// batch of candidates waits at a time; its survivors move out when it
+// closes.
 #pragma once
 
 #include <vector>

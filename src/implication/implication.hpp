@@ -35,8 +35,24 @@
 // buffers. The per-plane values and the work queue are sized once at
 // construction and the result is reused, so a warm engine allocates
 // nothing.
+//
+// LaneImplication applies the same rules to up to 256 requirement sets at
+// once, one set per lane of a 256-bit (value, known) word per (node, plane).
+// Instead of a worklist it sweeps the whole circuit: forward in topological
+// order (the packed gate algebra of sim/packed_eval.hpp, merged into the
+// current words), then backward in reverse order (the rules above, with the
+// "all other inputs non-controlling" test done by prefix and suffix ANDs),
+// PI coupling at the start of each forward sweep, until a backward sweep
+// changes no word. A lane contradicts when some rule derives the value
+// opposite to the one its (node, plane) holds. Both engines compute the
+// least fixpoint of the same monotone rules, and a closure that reaches a
+// fixpoint without a contradiction is a consistent closed set, so the lane
+// verdict equals contradicts() for every lane, whatever the order of rule
+// applications. Screening (faults/screen.hpp) closes its faults in lane
+// batches; contradicts() stays the per-fault form (explain, the reference).
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -117,6 +133,42 @@ class ImplicationEngine {
   std::size_t mark_ = 0;
   bool conflict_ = false;
   ImplicationResult result_;
+};
+
+/// Lane-parallel contradiction test: the verdict of
+/// ImplicationEngine::contradicts() for up to kLanes requirement sets per
+/// close(). Usage: add() one set per lane, close(), read contradicts(lane),
+/// then clear() before the next batch. Same netlist restrictions as
+/// ImplicationEngine.
+class LaneImplication {
+ public:
+  static constexpr std::size_t kLanes = 256;
+
+  /// Shares an existing compiled view (must outlive the engine).
+  explicit LaneImplication(const CompiledCircuit& cc);
+  ~LaneImplication();
+  LaneImplication(const LaneImplication&) = delete;
+  LaneImplication& operator=(const LaneImplication&) = delete;
+
+  /// Seeds `reqs` into the next free lane. Precondition: !full().
+  void add(std::span<const ValueRequirement> reqs);
+  std::size_t size() const { return lanes_; }
+  bool full() const { return lanes_ == kLanes; }
+
+  /// Closes every seeded lane; returns the number of forward + backward
+  /// sweep pairs it took.
+  std::size_t close();
+  /// After close(): true when lane `lane`'s closure found a contradiction.
+  bool contradicts(std::size_t lane) const;
+
+  /// Every lane back to x, no lane seeded. O(node_count).
+  void clear();
+
+ private:
+  struct State;  // the lane words; the 256-bit type stays in implication.cpp
+  const CompiledCircuit* cc_;
+  std::unique_ptr<State> state_;
+  std::size_t lanes_ = 0;
 };
 
 }  // namespace pdf

@@ -143,6 +143,19 @@ std::vector<RefCoverageBucket> coverage_by_length(
     const Netlist& nl, std::span<const TwoPatternTest> tests,
     std::span<const PathDelayFault> faults);
 
+// ---- per-fault screening (ref_screen.cpp) ----------------------------------
+
+/// The screen of `pdf::screen_faults` one fault at a time: screen (1) by
+/// `build_requirements`, then screen (2) as one
+/// `ImplicationEngine::contradicts()` closure per fault. Unlike the rest of
+/// this namespace it reuses those two production routines: it is the
+/// reference for the lane-batched closure, whose kept faults, order,
+/// requirement bytes and `stats` must equal these.
+std::vector<TargetFault> screen_faults(const Netlist& nl,
+                                       std::span<const PathDelayFault> faults,
+                                       ScreenStats& stats,
+                                       Sensitization sens = Sensitization::Robust);
+
 // ---- secondary-target selection (ref_select.cpp) ---------------------------
 
 /// The n_Delta of the value-based compaction heuristic, from the definition:

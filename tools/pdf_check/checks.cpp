@@ -324,6 +324,21 @@ std::optional<std::string> check_selection(const Netlist& nl,
 
 // ---- differential: incremental implication ---------------------------------
 
+/// A random requirement set: one to three lines, each a random triple with at
+/// least one specified component (lines may repeat, with clashing values).
+std::vector<ValueRequirement> random_requirements(const Netlist& nl, Rng& rng) {
+  static const V3 kValues[] = {V3::Zero, V3::One, V3::X};
+  std::vector<ValueRequirement> reqs;
+  const std::size_t n = 1 + rng.below(3);
+  for (std::size_t j = 0; j < n; ++j) {
+    Triple t{kValues[rng.below(3)], kValues[rng.below(3)],
+             kValues[rng.below(3)]};
+    if (t.all_x()) t.a2 = kValues[rng.below(2)];
+    reqs.push_back({static_cast<NodeId>(rng.below(nl.node_count())), t});
+  }
+  return reqs;
+}
+
 std::optional<std::string> check_implication(const Netlist& nl,
                                              std::uint64_t seed) {
   // Steps: the robust path faults of the longest paths, which often
@@ -338,18 +353,7 @@ std::optional<std::string> check_implication(const Netlist& nl,
     if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
   }
   Rng rng(mix(seed, 0x1c));
-  static const V3 kValues[] = {V3::Zero, V3::One, V3::X};
-  for (int k = 0; k < 10; ++k) {
-    std::vector<ValueRequirement> reqs;
-    const std::size_t n = 1 + rng.below(3);
-    for (std::size_t j = 0; j < n; ++j) {
-      Triple t{kValues[rng.below(3)], kValues[rng.below(3)],
-               kValues[rng.below(3)]};
-      if (t.all_x()) t.a2 = kValues[rng.below(2)];
-      reqs.push_back({static_cast<NodeId>(rng.below(nl.node_count())), t});
-    }
-    sets.push_back(std::move(reqs));
-  }
+  for (int k = 0; k < 10; ++k) sets.push_back(random_requirements(nl, rng));
 
   // A generator-like script per round: extend, then commit (accept), undo
   // (reject) or extend again on top; after a contradiction undo or clear.
@@ -413,6 +417,105 @@ std::optional<std::string> check_implication(const Netlist& nl,
       }
       pending = committed;
       if (auto bad = compare(committed, true, after)) return bad;
+    }
+  }
+  return std::nullopt;
+}
+
+// ---- differential: lane-batched screening ----------------------------------
+
+std::optional<std::string> check_screen(const Netlist& nl, std::uint64_t seed) {
+  const LineDelayModel dm(nl);
+  EnumerationConfig ecfg;
+  ecfg.max_faults = 200;
+  const std::vector<PathDelayFault> pool =
+      faults_for_paths(enumerate_longest_paths(dm, ecfg).paths);
+  Rng rng(mix(seed, 0x5c));
+  const std::size_t lanes = LaneImplication::kLanes;
+  const CompiledCircuit cc(nl);
+  ImplicationEngine engine(cc);
+
+  // screen_faults against the per-fault loop it replaces, on a fault list
+  // drawn from the pool (with repeats) that fills one batch and ends in a
+  // partial second one.
+  if (!pool.empty()) {
+    std::vector<PathDelayFault> faults;
+    const std::size_t n = lanes + 1 + rng.below(lanes - 1);
+    for (std::size_t i = 0; i < n; ++i) {
+      faults.push_back(pool[rng.below(pool.size())]);
+    }
+    for (const Sensitization sens :
+         {Sensitization::Robust, Sensitization::NonRobust}) {
+      const std::string where =
+          std::string("screen (") +
+          (sens == Sensitization::Robust ? "robust" : "non-robust") + ", " +
+          std::to_string(n) + " faults): ";
+      ScreenStats want;
+      const auto kept_want = oracle::screen_faults(nl, faults, want, sens);
+      ScreenStats got;
+      const auto kept = screen_faults(nl, faults, &got, sens);
+      if (got.input_faults != want.input_faults ||
+          got.conflict_dropped != want.conflict_dropped ||
+          got.implication_dropped != want.implication_dropped ||
+          got.kept != want.kept) {
+        return where + "stats: lane batches dropped " +
+               std::to_string(got.conflict_dropped) + " + " +
+               std::to_string(got.implication_dropped) + " and kept " +
+               std::to_string(got.kept) + ", per-fault loop " +
+               std::to_string(want.conflict_dropped) + " + " +
+               std::to_string(want.implication_dropped) + " and kept " +
+               std::to_string(want.kept);
+      }
+      for (std::size_t i = 0; i < kept.size(); ++i) {
+        if (kept[i].fault.path != kept_want[i].fault.path ||
+            kept[i].fault.rising_source != kept_want[i].fault.rising_source ||
+            kept[i].fault.length != kept_want[i].fault.length) {
+          return where + "survivor " + std::to_string(i) + " is " +
+                 describe_fault(nl, kept[i].fault) + ", per-fault loop " +
+                 describe_fault(nl, kept_want[i].fault);
+        }
+        if (kept[i].requirements != kept_want[i].requirements) {
+          return where + "requirements of survivor " + std::to_string(i) +
+                 " (" + describe_fault(nl, kept[i].fault) + ") differ";
+        }
+      }
+    }
+  }
+
+  // The lane closure itself on random requirement sets, each lane the union
+  // of one to three sets from the path faults and random triples: every
+  // lane's verdict must be the worklist engine's.
+  std::vector<std::vector<ValueRequirement>> sets;
+  for (const auto& f : pool) {
+    FaultRequirements reqs = build_requirements(nl, f, Sensitization::Robust);
+    if (!reqs.conflicting) sets.push_back(std::move(reqs.values));
+  }
+  for (int k = 0; k < 20; ++k) sets.push_back(random_requirements(nl, rng));
+  LaneImplication closure(cc);
+  for (int round = 0; round < 2; ++round) {
+    closure.clear();
+    std::vector<std::vector<ValueRequirement>> lane_sets;
+    const std::size_t n = 1 + rng.below(lanes);
+    for (std::size_t lane = 0; lane < n; ++lane) {
+      std::vector<ValueRequirement> reqs;
+      for (std::size_t j = 1 + rng.below(3); j > 0; --j) {
+        const auto& add = sets[rng.below(sets.size())];
+        reqs.insert(reqs.end(), add.begin(), add.end());
+      }
+      closure.add(reqs);
+      lane_sets.push_back(std::move(reqs));
+    }
+    closure.close();
+    for (std::size_t lane = 0; lane < n; ++lane) {
+      const bool want = engine.contradicts(lane_sets[lane]);
+      if (closure.contradicts(lane) != want) {
+        return "screen: lane closure, round " + std::to_string(round) +
+               ", lane " + std::to_string(lane) + " of " + std::to_string(n) +
+               " (" + std::to_string(lane_sets[lane].size()) +
+               " requirements): lanes " +
+               (want ? "consistent" : "contradiction") + ", worklist " +
+               (want ? "contradiction" : "consistent");
+      }
     }
   }
   return std::nullopt;
@@ -967,6 +1070,7 @@ constexpr Check kChecks[] = {
     {"justify_agrees", 1, check_justify},
     {"bnb_agrees", 1, check_bnb},
     {"implication_agrees", 1, check_implication},
+    {"screen_agrees", 1, check_screen},
     {"faultsim_vs_oracle", 1, check_faultsim},
     {"backends_agree", 2, check_backends},
     {"atpg_primary_targets", 2, check_atpg},
