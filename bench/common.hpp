@@ -42,11 +42,14 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "base/number.hpp"
 #include "enrich/enrichment.hpp"
 #include "gen/registry.hpp"
 #include "obs/manifest.hpp"
@@ -226,20 +229,30 @@ inline Options parse_options(int argc, char** argv,
       }
       return argv[++i];
     };
+    auto next_number = [&]() -> std::uint64_t {
+      const char* text = next();
+      const std::optional<std::uint64_t> v = parse_decimal(text);
+      if (!v) {
+        std::fprintf(stderr, "%s needs a whole decimal number, got '%s'\n",
+                     a.c_str(), text);
+        std::exit(2);
+      }
+      return *v;
+    };
     if (a == "--paper") {
       o.paper = true;
       o.n_p = 10000;
       o.n_p0 = 1000;
     } else if (a == "--np") {
-      o.n_p = std::strtoull(next(), nullptr, 10);
+      o.n_p = next_number();
     } else if (a == "--np0") {
-      o.n_p0 = std::strtoull(next(), nullptr, 10);
+      o.n_p0 = next_number();
     } else if (a == "--seed") {
-      o.seed = std::strtoull(next(), nullptr, 10);
+      o.seed = next_number();
     } else if (a == "--csv") {
       o.csv = true;
     } else if (a == "--threads") {
-      o.threads = std::strtoull(next(), nullptr, 10);
+      o.threads = next_number();
     } else if (a == "--backend") {
       o.backend = next();
       try {
@@ -297,6 +310,17 @@ inline Options parse_options(int argc, char** argv,
       std::exit(2);
     }
   }
+  // Reject an unknown circuit before any circuit runs, not in the middle of
+  // the table.
+  for (const std::string& name : o.circuits) {
+    if (!has_benchmark(name)) {
+      std::fprintf(stderr,
+                   "unknown circuit %s (examples/bench_atpg --list names "
+                   "them)\n",
+                   name.c_str());
+      std::exit(2);
+    }
+  }
   if (o.threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     o.threads = hw == 0 ? 1 : hw;
@@ -304,7 +328,12 @@ inline Options parse_options(int argc, char** argv,
   // Without --backend, manifests record whatever the capability dispatch
   // actually selected (avx512 > avx2 > bitpar depending on the host).
   if (o.backend.empty()) o.backend = sim::selected_backend().name();
-  runtime::set_global_threads(o.threads);
+  try {
+    runtime::set_global_threads(o.threads);  // throws above kMaxThreads
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(2);
+  }
   if (o.use_store) {
     o.stage_cache = std::make_shared<store::StageCache>(o.store_dir);
   }

@@ -17,10 +17,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
-#include "atpg/application.hpp"
 #include "atpg/test_io.hpp"
+#include "base/number.hpp"
 #include "enrich/enrichment.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
@@ -54,16 +55,21 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage(("missing value for " + a).c_str());
       return argv[++i];
     };
+    auto number = [&]() -> std::uint64_t {
+      const std::optional<std::uint64_t> v = parse_decimal(next());
+      if (!v) usage((a + " needs a whole decimal number").c_str());
+      return *v;
+    };
     if (a == "--circuit") {
       circuit = next();
     } else if (a == "--bench") {
       bench_file = next();
     } else if (a == "--np") {
-      tcfg.n_p = std::strtoull(next(), nullptr, 10);
+      tcfg.n_p = number();
     } else if (a == "--np0") {
-      tcfg.n_p0 = std::strtoull(next(), nullptr, 10);
+      tcfg.n_p0 = number();
     } else if (a == "--seed") {
-      gcfg.seed = std::strtoull(next(), nullptr, 10);
+      gcfg.seed = number();
     } else if (a == "--out") {
       out_file = next();
     } else if (a == "--no-enrich") {
@@ -88,26 +94,14 @@ int main(int argc, char** argv) {
   if (circuit.empty() == bench_file.empty()) {
     usage("exactly one of --circuit / --bench is required");
   }
-
-  CombinationalCircuit cc;
-  if (circuit.empty()) {
-    CombinationalCircuit raw = extract_combinational(parse_bench_file(bench_file));
-    // XOR decomposition preserves node names; re-resolve the pseudo ids in
-    // the decomposed netlist by name.
-    std::vector<std::string> ppi_names, ppo_names;
-    for (NodeId id : raw.pseudo_inputs) {
-      ppi_names.push_back(raw.netlist.node(id).name);
-    }
-    for (NodeId id : raw.pseudo_outputs) {
-      ppo_names.push_back(raw.netlist.node(id).name);
-    }
-    cc.netlist = decompose_xor(raw.netlist);
-    for (const auto& n : ppi_names) cc.pseudo_inputs.push_back(cc.netlist.id_of(n));
-    for (const auto& n : ppo_names) cc.pseudo_outputs.push_back(cc.netlist.id_of(n));
-  } else {
-    cc.netlist = benchmark_circuit(circuit);
+  if (!circuit.empty() && !has_benchmark(circuit)) {
+    usage(("unknown circuit " + circuit + " (try --list)").c_str());
   }
-  Netlist& nl = cc.netlist;
+
+  const Netlist nl =
+      circuit.empty()
+          ? decompose_xor(extract_combinational(parse_bench_file(bench_file)).netlist)
+          : benchmark_circuit(circuit);
   const NetlistStats st = stats_of(nl);
   const PathCounts pc = count_paths(nl);
   std::printf("circuit %s: %zu inputs, %zu outputs, %zu gates, depth %d, "
@@ -135,15 +129,6 @@ int main(int argc, char** argv) {
               r.tests.size(), r.stats.seconds);
   std::printf("coverage: P0 %zu/%zu, P1 %zu/%zu\n", c.p0_detected, c.p0_total,
               c.p1_detected, c.p1_total);
-
-  // Scan-application classification (meaningful when the design had state).
-  if (!cc.pseudo_inputs.empty()) {
-    const TestApplicationAnalyzer analyzer(cc);
-    const ApplicationStats ap = analyzer.classify(r.tests);
-    std::printf("application: %zu broadside-compatible, %zu skewed-load, "
-                "%zu need enhanced scan (of %zu)\n",
-                ap.broadside, ap.skewed_load, ap.enhanced_only, ap.total);
-  }
 
   if (!out_file.empty()) {
     write_tests_file(out_file, nl, r.tests);

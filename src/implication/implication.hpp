@@ -49,7 +49,7 @@
 // fixpoint without a contradiction is a consistent closed set, so the lane
 // verdict equals contradicts() for every lane, whatever the order of rule
 // applications. Screening (faults/screen.hpp) closes its faults in lane
-// batches; contradicts() stays the per-fault form (explain, the reference).
+// batches; contradicts() stays the per-fault form (the reference).
 #pragma once
 
 #include <memory>

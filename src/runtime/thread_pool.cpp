@@ -82,6 +82,10 @@ ExternalWorkerScope::~ExternalWorkerScope() {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument(
+        "ThreadPool: more than runtime::kMaxThreads threads");
+  }
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;

@@ -48,6 +48,12 @@ namespace pdf::runtime {
 /// worker threads than this throws; per-worker state arrays size to it.
 inline constexpr std::size_t kMaxWorkerSlots = 1024;
 
+/// The largest thread count accepted from outside input: ThreadPool sizes,
+/// serve::ServerConfig::concurrency and the CLIs' thread and client flags.
+/// Larger counts throw std::invalid_argument before any thread starts. A pool
+/// of kMaxThreads participants needs kMaxThreads - 1 worker slots, so it fits.
+inline constexpr std::size_t kMaxThreads = kMaxWorkerSlots;
+
 /// Dense per-thread id: 0 for the main/external thread, a unique value in
 /// [1, kMaxWorkerSlots) for every pool worker thread.
 std::size_t worker_slot();
@@ -77,7 +83,8 @@ class ExternalWorkerScope {
 class ThreadPool {
  public:
   /// Total participant count including the caller; 0 picks the hardware
-  /// concurrency. `threads <= 1` creates no worker threads.
+  /// concurrency. `threads <= 1` creates no worker threads. Throws
+  /// std::invalid_argument when `threads` exceeds kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -167,7 +174,8 @@ ThreadPool& global_pool();
 
 /// Replaces the global pool with one of `threads` participants (0 = hardware
 /// concurrency). Must not be called from inside a pool task or while another
-/// thread is using the global pool.
+/// thread is using the global pool. Throws like ThreadPool(threads) and then
+/// keeps the old pool.
 void set_global_threads(std::size_t threads);
 
 /// Participant count of the global pool.

@@ -3,6 +3,7 @@
 #include <condition_variable>
 #include <filesystem>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/exposition.hpp"
@@ -56,6 +57,9 @@ double hit_rate(std::uint64_t hits, std::uint64_t misses) {
 
 Server::Server(ServerConfig cfg)
     : cfg_(std::move(cfg)), queue_(cfg_.queue_depth) {
+  if (cfg_.concurrency > runtime::kMaxThreads) {
+    throw std::invalid_argument("serve: concurrency above runtime::kMaxThreads");
+  }
   if (cfg_.concurrency == 0) cfg_.concurrency = 1;
   if (cfg_.backend.empty()) cfg_.backend = sim::selected_backend().name();
   if (!cfg_.store_dir.empty()) cache_.emplace(cfg_.store_dir);

@@ -43,7 +43,7 @@
 namespace pdf::serve {
 
 struct ServerConfig {
-  std::size_t concurrency = 2;   // worker threads
+  std::size_t concurrency = 2;   // worker threads, at most runtime::kMaxThreads
   std::size_t queue_depth = 64;  // queued (not yet running) job bound
   std::uint64_t retry_after_ms = 50;  // backoff hint on admission reject
   /// Artifact-store root; empty = caching disabled.

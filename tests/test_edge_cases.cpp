@@ -5,7 +5,6 @@
 #include "enrich/enrichment.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
-#include "netlist/cleanup.hpp"
 #include "sim/timed_sim.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
@@ -26,16 +25,6 @@ TEST(EdgeCases, WaveformValueAt) {
   EXPECT_EQ(w.final_value(), V3::Zero);
   EXPECT_EQ(w.settle_time(), 9);
   EXPECT_FALSE(w.constant());
-}
-
-TEST(EdgeCases, BufferDrivenByInputTransfersOutputMark) {
-  const Netlist nl = parse_bench_string(
-      "INPUT(a)\nOUTPUT(z)\nz = BUF(a)\n");
-  CleanupReport rep;
-  const Netlist swept = sweep_buffers(nl, &rep);
-  EXPECT_EQ(rep.buffers_removed, 1u);
-  EXPECT_TRUE(swept.node(swept.id_of("a")).is_output);
-  EXPECT_EQ(swept.gate_count(), 0u);
 }
 
 TEST(EdgeCases, InputThatIsAlsoOutput) {

@@ -5,12 +5,14 @@
 // daemon turns into "parse_error"/"config_error" responses.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <type_traits>
 
 #include "atpg/test_io.hpp"
 #include "base/error.hpp"
+#include "base/number.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
 #include "paths/enumerate.hpp"
@@ -157,6 +159,16 @@ TEST(TypedErrorsTest, ServeClassifierMapsTheTaxonomy) {
 
   const auto internal = classify([] { throw std::logic_error("bug"); });
   EXPECT_EQ(internal.kind, "internal");
+}
+
+TEST(CliNumbers, ParseDecimalTakesOnlyWholeUnsignedDecimals) {
+  EXPECT_EQ(parse_decimal("0"), 0u);
+  EXPECT_EQ(parse_decimal("4000"), 4000u);
+  EXPECT_EQ(parse_decimal("18446744073709551615"), UINT64_MAX);
+  for (const char* bad : {"", "abc", "-1", "+1", " 1", "1 ", "4k", "1.5",
+                          "0x10", "18446744073709551616"}) {
+    EXPECT_FALSE(parse_decimal(bad).has_value()) << '"' << bad << '"';
+  }
 }
 
 }  // namespace

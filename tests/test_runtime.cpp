@@ -146,6 +146,14 @@ TEST(ThreadPool, WorkerSlotsAreDenseAndStable) {
   EXPECT_TRUE(caller_seen);
 }
 
+TEST(ThreadPool, RejectsCountsAboveLimitBeforeStartingThreads) {
+  // Both counts throw in the constructor, before the first worker starts.
+  for (const std::size_t n : {runtime::kMaxThreads + 1, SIZE_MAX}) {
+    EXPECT_THROW({ ThreadPool pool(n); }, std::invalid_argument) << n;
+    EXPECT_THROW(runtime::set_global_threads(n), std::invalid_argument) << n;
+  }
+}
+
 TEST(PerWorker, LocalStateIsPerThreadAndEnumerable) {
   ThreadPool pool(4);
   runtime::PerWorker<std::uint64_t> counts;

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include "base/error.hpp"
 #include "obs/json.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/request_queue.hpp"
@@ -354,6 +356,14 @@ TEST(ServeServerTest, QueueOverflowRejectsWithRetryHint) {
   EXPECT_GT(rejected, 0);
   EXPECT_GT(ok, 0);
   EXPECT_EQ(ok + rejected, kBurst);
+}
+
+TEST(ServeServerTest, RejectsConcurrencyAboveLimitBeforeStartingWorkers) {
+  for (const std::size_t n : {runtime::kMaxThreads + 1, SIZE_MAX}) {
+    serve::ServerConfig cfg;
+    cfg.concurrency = n;
+    EXPECT_THROW({ serve::Server server(cfg); }, std::invalid_argument) << n;
+  }
 }
 
 TEST(ServeServerTest, CancelQueuedJob) {

@@ -16,12 +16,16 @@
 // see src/sim/cpu_features.hpp).
 //
 // Exit status: 0 clean, 1 check failure (repro written), 2 usage/setup error.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/number.hpp"
 #include "base/rng.hpp"
 #include "netlist/netlist.hpp"
 #include "pdf_check/checks.hpp"
@@ -82,14 +86,29 @@ Options parse_options(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    const auto number = [&]() -> std::uint64_t {
+      const std::optional<std::uint64_t> v = pdf::parse_decimal(value());
+      if (!v) usage(argv[0]);
+      return *v;
+    };
     if (arg == "--cases") {
-      o.cases = std::strtoull(value().c_str(), nullptr, 10);
+      o.cases = number();
     } else if (arg == "--seed") {
       const std::string v = value();
-      o.seed = v == "from-git-sha" ? seed_from_git_sha()
-                                   : std::strtoull(v.c_str(), nullptr, 0);
+      if (v == "from-git-sha") {
+        o.seed = seed_from_git_sha();
+      } else if (v.starts_with("0x") || v.starts_with("0X")) {
+        // The clean-run summary prints the seed in hex; accept it back.
+        const char* end = v.data() + v.size();
+        const auto [ptr, ec] = std::from_chars(v.data() + 2, end, o.seed, 16);
+        if (ec != std::errc{} || ptr != end) usage(argv[0]);
+      } else {
+        const std::optional<std::uint64_t> seed = pdf::parse_decimal(v);
+        if (!seed) usage(argv[0]);
+        o.seed = *seed;
+      }
     } else if (arg == "--threads") {
-      o.threads = std::strtoull(value().c_str(), nullptr, 10);
+      o.threads = number();
     } else if (arg == "--backend") {
       try {
         pdf::sim::select_backend(value());
@@ -184,7 +203,12 @@ int replay(const Options& o) {
 
 int main(int argc, char** argv) {
   const Options o = parse_options(argc, argv);
-  pdf::runtime::set_global_threads(o.threads);
+  try {
+    pdf::runtime::set_global_threads(o.threads);  // throws above kMaxThreads
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "pdf_check: %s\n", e.what());
+    return 2;
+  }
   pdf::check::set_base_threads(o.threads);
 
   if (!o.replay_path.empty()) return replay(o);

@@ -18,17 +18,21 @@
 // deterministic `result` objects byte-for-byte; any mismatch is a protocol
 // determinism bug and exits nonzero.
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "base/number.hpp"
 #include "runtime/metrics.hpp"
+#include "runtime/thread_pool.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/socket_io.hpp"
@@ -84,24 +88,43 @@ Flags parse_flags(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0], std::string(argv[i]) + " needs a value");
     return argv[i + 1];
   };
+  auto number = [&](int i) -> std::uint64_t {
+    const std::optional<std::uint64_t> v = parse_decimal(need(i));
+    if (!v) usage(argv[0], std::string(argv[i]) + " needs a whole decimal number");
+    return *v;
+  };
+  auto real = [&](int i) -> double {
+    const std::string text = need(i);
+    double v = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), v);
+    if (ec != std::errc{} || end != text.data() + text.size() || !(v >= 0.0)) {
+      usage(argv[0], std::string(argv[i]) + " needs a number >= 0");
+    }
+    return v;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--socket") f.socket_path = need(i), ++i;
-    else if (a == "--jobs") f.jobs = std::stoul(need(i)), ++i;
-    else if (a == "--clients") f.clients = std::stoul(need(i)), ++i;
+    else if (a == "--jobs") f.jobs = number(i), ++i;
+    else if (a == "--clients") f.clients = number(i), ++i;
     else if (a == "--circuits") f.circuits = split_csv(need(i)), ++i;
-    else if (a == "--np") f.n_p = std::stoul(need(i)), ++i;
-    else if (a == "--np0") f.n_p0 = std::stoul(need(i)), ++i;
-    else if (a == "--seed-base") f.seed_base = std::stoull(need(i)), ++i;
-    else if (a == "--hot-fraction") f.hot_fraction = std::stod(need(i)), ++i;
-    else if (a == "--max-retries") f.max_retries = std::stoul(need(i)), ++i;
-    else if (a == "--stats-every") f.stats_every = std::stod(need(i)), ++i;
+    else if (a == "--np") f.n_p = number(i), ++i;
+    else if (a == "--np0") f.n_p0 = number(i), ++i;
+    else if (a == "--seed-base") f.seed_base = number(i), ++i;
+    else if (a == "--hot-fraction") f.hot_fraction = real(i), ++i;
+    else if (a == "--max-retries") f.max_retries = number(i), ++i;
+    else if (a == "--stats-every") f.stats_every = real(i), ++i;
     else if (a == "--basic") f.basic = true;
     else if (a == "--verify") f.verify = true;
     else if (a == "--quiet") f.quiet = true;
     else usage(argv[0], "unknown flag " + a);
   }
   if (f.jobs == 0 || f.clients == 0) usage(argv[0], "--jobs/--clients must be > 0");
+  if (f.clients > runtime::kMaxThreads) {
+    usage(argv[0], "--clients must be at most " +
+                       std::to_string(runtime::kMaxThreads));
+  }
   if (f.circuits.empty()) usage(argv[0], "--circuits must name a circuit");
   return f;
 }

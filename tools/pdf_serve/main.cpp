@@ -29,6 +29,7 @@
 #include <iostream>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <poll.h>
 #include <string>
 #include <thread>
@@ -36,6 +37,7 @@
 #include <vector>
 
 #include "base/error.hpp"
+#include "base/number.hpp"
 #include "obs/log.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -82,19 +84,24 @@ Flags parse_flags(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0], std::string(argv[i]) + " needs a value");
     return argv[i + 1];
   };
+  auto number = [&](int i) -> std::uint64_t {
+    const std::optional<std::uint64_t> v = parse_decimal(need(i));
+    if (!v) usage(argv[0], std::string(argv[i]) + " needs a whole decimal number");
+    return *v;
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--socket") f.socket_path = need(i), ++i;
-    else if (a == "--concurrency") f.concurrency = std::stoul(need(i)), ++i;
-    else if (a == "--queue-depth") f.queue_depth = std::stoul(need(i)), ++i;
-    else if (a == "--threads") f.threads = std::stoul(need(i)), ++i;
-    else if (a == "--retry-after-ms") f.retry_after_ms = std::stoull(need(i)), ++i;
+    else if (a == "--concurrency") f.concurrency = number(i), ++i;
+    else if (a == "--queue-depth") f.queue_depth = number(i), ++i;
+    else if (a == "--threads") f.threads = number(i), ++i;
+    else if (a == "--retry-after-ms") f.retry_after_ms = number(i), ++i;
     else if (a == "--backend") f.backend = need(i), ++i;
     else if (a == "--store") f.store_dir = need(i), f.use_store = true, ++i;
     else if (a == "--no-store") f.use_store = false;
     else if (a == "--manifest-dir") f.manifest_dir = need(i), ++i;
     else if (a == "--metrics") f.metrics = true;
-    else if (a == "--slow-job-ms") f.slow_job_ms = std::stoull(need(i)), ++i;
+    else if (a == "--slow-job-ms") f.slow_job_ms = number(i), ++i;
     else if (a == "--log-level") {
       try {
         obs::set_log_level(obs::parse_log_level(need(i)));
@@ -107,6 +114,10 @@ Flags parse_flags(int argc, char** argv) {
     else usage(argv[0], "unknown flag " + a);
   }
   if (f.queue_depth == 0) usage(argv[0], "--queue-depth must be > 0");
+  if (f.concurrency > runtime::kMaxThreads || f.threads > runtime::kMaxThreads) {
+    usage(argv[0], "--concurrency and --threads must be at most " +
+                       std::to_string(runtime::kMaxThreads));
+  }
   // Without --backend, run (and label manifests/logs with) whatever the
   // capability dispatch selected for this host.
   if (f.backend.empty()) f.backend = sim::selected_backend().name();
