@@ -11,20 +11,45 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "base/number.hpp"
 #include "enrich/enrichment.hpp"
 #include "gen/registry.hpp"
 #include "report/table.hpp"
 
 using namespace pdf;
 
+namespace {
+
+[[noreturn]] void usage(const std::string& msg) {
+  std::fprintf(stderr,
+               "error: %s\nusage: enrichment_study [circuit] [N_P] [N_P0] "
+               "[seed]\n",
+               msg.c_str());
+  std::exit(2);
+}
+
+/// Positional argument `i` as a whole decimal number, or `fallback` when it
+/// is absent.
+std::uint64_t number_arg(int argc, char** argv, int i, std::uint64_t fallback) {
+  if (argc <= i) return fallback;
+  const std::optional<std::uint64_t> v = parse_decimal(argv[i]);
+  if (!v) usage(std::string("not a whole decimal number: ") + argv[i]);
+  return *v;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "s953_like";
+  if (!has_benchmark(name)) usage("unknown circuit " + name);
   TargetSetConfig tcfg;
-  tcfg.n_p = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 4000;
-  tcfg.n_p0 = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 300;
-  const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 1;
+  tcfg.n_p = number_arg(argc, argv, 2, 4000);
+  tcfg.n_p0 = number_arg(argc, argv, 3, 300);
+  const std::uint64_t seed = number_arg(argc, argv, 4, 1);
+  if (tcfg.n_p == 0) usage("N_P must be > 0");
 
   const Netlist nl = benchmark_circuit(name);
   const EnrichmentWorkbench wb(nl, tcfg);

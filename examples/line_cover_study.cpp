@@ -7,9 +7,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "atpg/generator.hpp"
+#include "base/number.hpp"
 #include "faults/fault.hpp"
 #include "faults/screen.hpp"
 #include "gen/registry.hpp"
@@ -19,9 +21,25 @@
 
 using namespace pdf;
 
+namespace {
+
+[[noreturn]] void usage(const std::string& msg) {
+  std::fprintf(stderr, "error: %s\nusage: line_cover_study [circuit] [seed]\n",
+               msg.c_str());
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "s953_like";
-  const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 1;
+  if (!has_benchmark(name)) usage("unknown circuit " + name);
+  std::uint64_t seed = 1;
+  if (argc > 2) {
+    const std::optional<std::uint64_t> v = parse_decimal(argv[2]);
+    if (!v) usage(std::string("not a whole decimal number: ") + argv[2]);
+    seed = *v;
+  }
 
   const Netlist nl = benchmark_circuit(name);
   const LineDelayModel dm(nl);

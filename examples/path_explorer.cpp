@@ -9,9 +9,12 @@
 // core; XOR gates are decomposed).
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "base/number.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/combinational.hpp"
@@ -25,17 +28,38 @@ using namespace pdf;
 
 namespace {
 
+[[noreturn]] void usage(const std::string& msg) {
+  std::fprintf(stderr,
+               "error: %s\nusage: path_explorer [circuit-or-bench-file] "
+               "[n_paths]\n",
+               msg.c_str());
+  std::exit(2);
+}
+
 Netlist load(const std::string& what) {
   if (has_benchmark(what)) return benchmark_circuit(what);
-  const Netlist seq = parse_bench_file(what);
-  return decompose_xor(extract_combinational(seq).netlist);
+  try {
+    const Netlist seq = parse_bench_file(what);
+    return decompose_xor(extract_combinational(seq).netlist);
+  } catch (const std::exception& e) {
+    usage(what + " is no registry circuit or readable .bench file: " +
+          e.what());
+  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const std::string what = argc > 1 ? argv[1] : "s1423_like";
-  const std::size_t budget = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 2000;
+  std::size_t budget = 2000;
+  if (argc > 2) {
+    const std::optional<std::uint64_t> v = parse_decimal(argv[2]);
+    if (!v || *v == 0) {
+      usage(std::string("n_paths must be a positive whole decimal number: ") +
+            argv[2]);
+    }
+    budget = *v;
+  }
 
   const Netlist nl = load(what);
   const NetlistStats st = stats_of(nl);

@@ -35,9 +35,14 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#ifdef __AVX__  // also set by -mavx512f
+#include <immintrin.h>
+#endif
 
 #include "core/compiled_circuit.hpp"
 #include "faults/screen.hpp"
@@ -55,6 +60,8 @@ namespace pdf::sim {
 namespace {
 
 /// Subword access uniform across plain uint64_t and vector-extension types.
+/// any() is chosen by the including TU's ISA macros (__AVX512F__, __AVX__),
+/// which is one more reason this header must keep internal linkage.
 template <typename Vec>
 struct VecOps {
   static constexpr std::size_t kSubwords = sizeof(Vec) / sizeof(std::uint64_t);
@@ -66,7 +73,32 @@ struct VecOps {
   static void xor_sub(Vec& v, std::size_t k, std::uint64_t bits) {
     v[k] ^= bits;
   }
+  /// Whether any lane is set. This is fault_mask's per-atom early-exit
+  /// test, so it is one vector test instruction where the TU's ISA has one
+  /// (VPTESTMQ on 512 bits, VPTEST on 256) instead of extracting and ORing
+  /// every subword.
   static bool any(const Vec& v) {
+#ifdef PATHDELAY_MUTATION_WIDE_ANY_HALF
+    // Seeded bug (mutation testing only): only the low half of the
+    // subwords is tested, so a fault whose live lanes are all in the high
+    // half stops ANDing its atoms early and keeps lanes its later
+    // requirements would clear. Only >64-lane backends can see it.
+    std::uint64_t half = 0;
+    for (std::size_t k = 0; k < kSubwords / 2; ++k) half |= v[k];
+    return half != 0;
+#endif
+#ifdef __AVX512F__
+    if constexpr (sizeof(Vec) == 64) {
+      const __m512i x = std::bit_cast<__m512i>(v);
+      return _mm512_test_epi64_mask(x, x) != 0;
+    }
+#endif
+#ifdef __AVX__
+    if constexpr (sizeof(Vec) == 32) {
+      const __m256i x = std::bit_cast<__m256i>(v);
+      return _mm256_testz_si256(x, x) == 0;
+    }
+#endif
     std::uint64_t acc = 0;
     for (std::size_t k = 0; k < kSubwords; ++k) acc |= v[k];
     return acc != 0;
@@ -236,7 +268,6 @@ class WideBackend final : public SimBackend {
     Scratch& cs = scratch_.local();
     const std::size_t words64 = (tests.size() + 63) / 64;
     const bool packed_grow =
-        cs.pack.codes.capacity() < cc.inputs().size() * words64 * 64 ||
         cs.pack.bits.capacity() < cc.inputs().size() * 6 * words64;
     const std::size_t plan_cap = plan_capacity(cs.plan);
     pack_tests(cc, tests, name_, cs.pack);

@@ -2,6 +2,7 @@
 // baseline — the packed data is plain uint64 words every backend TU reads.
 #include "sim/prepared.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -83,58 +84,71 @@ struct ReqCodeTable {
   }
 };
 
+/// Packs one input's 64 predicate bytes (byte k = lane k) into word `w` of
+/// its six plane rows. Each predicate bit of the 64 bytes is gathered into
+/// one word: bytes restricted to 0/1, * 0x0102040810204080 pulls byte k's
+/// LSB to bit 56+k with no cross-term carries (all 64 partial products land
+/// on distinct bit positions).
+void pack_code_row(const std::uint8_t* codes, PackedTests& pt, std::size_t i,
+                   std::size_t w) {
+  constexpr std::uint64_t kLsb = 0x0101010101010101ull;
+  constexpr std::uint64_t kGather = 0x0102040810204080ull;
+  std::uint64_t chunk[8];
+  std::memcpy(chunk, codes, 64);
+  for (int q = 0; q < 3; ++q) {
+    std::uint64_t known = 0;
+    std::uint64_t value = 0;
+    for (int j = 0; j < 8; ++j) {
+      const std::uint64_t kb = (chunk[j] >> (2 * q)) & kLsb;
+      const std::uint64_t vb = (chunk[j] >> (2 * q + 1)) & kLsb;
+      known |= ((kb * kGather) >> 56) << (8 * j);
+      value |= ((vb * kGather) >> 56) << (8 * j);
+    }
+    pt.row(i, q, 0)[w] = known;
+    pt.row(i, q, 1)[w] = value;
+  }
+}
+
 }  // namespace
 
 void pack_tests(const CompiledCircuit& cc,
                 std::span<const TwoPatternTest> tests,
                 const char* backend_name, PackedTests& pt) {
   static const PiCodeTable kCodes;
-  const std::span<const NodeId> inputs = cc.inputs();
-  const std::size_t ni = inputs.size();
-  const std::size_t words64 = (tests.size() + 63) / 64;
-  pt.words64 = words64;
-  pt.inputs = ni;
-  pt.codes.assign(ni * words64 * 64, 0);
-  pt.bits.assign(ni * 6 * words64, 0);
-
-  // Transpose: test-major reads (each test's pi_values is contiguous),
-  // input-major writes into per-input code rows.
-  for (std::size_t t = 0; t < tests.size(); ++t) {
-    const TwoPatternTest& tp = tests[t];
+  const std::size_t ni = cc.inputs().size();
+  for (const TwoPatternTest& tp : tests) {
     if (tp.pi_values.size() != ni) {
       throw std::invalid_argument(std::string(backend_name) +
                                   " backend: bad test width");
     }
-    const Triple* pv = tp.pi_values.data();
-    std::uint8_t* col = pt.codes.data() + t;
-    for (std::size_t i = 0; i < ni; ++i) {
-      col[i * words64 * 64] =
-          kCodes.code[static_cast<int>(pv[i].a1)][static_cast<int>(pv[i].a3)];
-    }
   }
+  const std::size_t words64 = (tests.size() + 63) / 64;
+  pt.words64 = words64;
+  pt.inputs = ni;
+  pt.bits.resize(ni * 6 * words64);  // every word is written below
 
-  // Gather each predicate bit of 64 codes into one packed word: bytes
-  // restricted to 0/1, * 0x0102040810204080 pulls byte k's LSB to bit
-  // 56+k with no cross-term carries (all 64 partial products land on
-  // distinct bit positions).
-  constexpr std::uint64_t kLsb = 0x0101010101010101ull;
-  constexpr std::uint64_t kGather = 0x0102040810204080ull;
-  for (std::size_t i = 0; i < ni; ++i) {
-    const std::uint8_t* row = pt.codes.data() + i * words64 * 64;
-    for (std::size_t w = 0; w < words64; ++w) {
-      std::uint64_t chunk[8];
-      std::memcpy(chunk, row + w * 64, 64);
-      for (int q = 0; q < 3; ++q) {
-        std::uint64_t known = 0;
-        std::uint64_t value = 0;
-        for (int j = 0; j < 8; ++j) {
-          const std::uint64_t kb = (chunk[j] >> (2 * q)) & kLsb;
-          const std::uint64_t vb = (chunk[j] >> (2 * q + 1)) & kLsb;
-          known |= ((kb * kGather) >> 56) << (8 * j);
-          value |= ((vb * kGather) >> 56) << (8 * j);
+  // Blocked transpose. Per 64-test word and block of kBlock inputs, the
+  // predicate bytes go into an on-stack tile (row i = input i0+i, byte t =
+  // test w*64+t; lanes past the batch end are code 0, i.e. unknown), and
+  // each tile row is packed straight into its input's six plane rows. The
+  // word's 64 tests' PI vectors stay cache-resident across its blocks.
+  constexpr std::size_t kBlock = 64;
+  alignas(64) std::uint8_t tile[kBlock][64];
+  for (std::size_t w = 0; w < words64; ++w) {
+    const std::size_t t0 = w * 64;
+    const std::size_t nt = std::min<std::size_t>(64, tests.size() - t0);
+    for (std::size_t i0 = 0; i0 < ni; i0 += kBlock) {
+      const std::size_t nb = std::min(kBlock, ni - i0);
+      if (nt < 64) std::memset(tile, 0, nb * sizeof tile[0]);
+      for (std::size_t t = 0; t < nt; ++t) {
+        const Triple* pv = tests[t0 + t].pi_values.data() + i0;
+        for (std::size_t i = 0; i < nb; ++i) {
+          tile[i][t] = kCodes.code[static_cast<int>(pv[i].a1)]
+                                  [static_cast<int>(pv[i].a3)];
         }
-        pt.row(i, q, 0)[w] = known;
-        pt.row(i, q, 1)[w] = value;
+      }
+      for (std::size_t i = 0; i < nb; ++i) {
+        pack_code_row(tile[i], pt, i0 + i, w);
       }
     }
   }

@@ -8,7 +8,10 @@
 //     the a1/a2/a3 triple planes, 64 tests per word). Every packed backend
 //     width reads the same subwords — a Vec-wide word w loads word64
 //     columns [w*K, w*K+K) — which is what makes the backends bit-identical
-//     by construction.
+//     by construction. The pack is a blocked transpose: per 64-test word
+//     and block of 64 inputs it fills a 4 KB on-stack tile of predicate
+//     bytes and packs each tile row straight into the plane rows, so there
+//     is no tests x inputs transpose scratch and no zero pass.
 //   * ReqPlan — every fault's requirements flattened to *atoms*: single
 //     (line, plane, polarity) conditions encoded line*6 + q*2 + (value==1),
 //     deduplicated across the fault set. Path faults share most requirement
@@ -38,8 +41,6 @@ namespace pdf::sim {
 struct PackedTests {
   std::size_t words64 = 0;
   std::size_t inputs = 0;
-  /// Transpose scratch: `inputs` rows of words64*64 predicate bytes.
-  std::vector<std::uint8_t> codes;
   /// Packed planes: rows indexed by (input, plane q, known=0/value=1).
   std::vector<std::uint64_t> bits;
 
@@ -51,9 +52,10 @@ struct PackedTests {
   }
 };
 
-/// Transposes and bit-packs the batch; validates every test's width against
-/// cc.inputs() (throws std::invalid_argument naming `backend_name`).
-/// Reuses the struct's buffers — steady-state calls allocate nothing.
+/// Transposes and bit-packs the batch, writing every word of `bits`;
+/// validates every test's width against cc.inputs() first (throws
+/// std::invalid_argument naming `backend_name`). Reuses the struct's buffer —
+/// steady-state calls allocate nothing.
 void pack_tests(const CompiledCircuit& cc,
                 std::span<const TwoPatternTest> tests,
                 const char* backend_name, PackedTests& pt);

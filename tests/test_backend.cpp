@@ -31,6 +31,7 @@
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/cpu_features.hpp"
+#include "sim/triple_sim.hpp"
 #include "testutil/backend_env.hpp"
 #include "testutil/circuits.hpp"
 
@@ -325,6 +326,73 @@ TEST_P(BackendP, PreparedMatchesUnprepared) {
     const DetectionMatrix want = fsim.detection_matrix(tests, targets);
     const DetectionMatrix got = fsim.detection_matrix(tests, targets, prep);
     ASSERT_EQ(got, want) << backend->name() << " at " << count << " tests";
+  }
+}
+
+/// `n_in` inputs, each feeding a two-input gate with its ring neighbour
+/// (one NOT for a single input); every gate is an output, so each input
+/// line's own probe faults read its packed planes directly.
+Netlist wide_input_netlist(std::size_t n_in) {
+  Netlist nl("wide" + std::to_string(n_in));
+  std::vector<NodeId> in;
+  for (std::size_t i = 0; i < n_in; ++i) {
+    in.push_back(nl.add_input("i" + std::to_string(i)));
+  }
+  static constexpr GateType kTypes[] = {GateType::And, GateType::Or,
+                                        GateType::Xor, GateType::Nand};
+  if (n_in == 1) {
+    nl.mark_output(nl.add_gate("z", GateType::Not, {in[0]}));
+  } else {
+    for (std::size_t i = 0; i < n_in; ++i) {
+      nl.mark_output(nl.add_gate("g" + std::to_string(i), kTypes[i % 4],
+                                 {in[i], in[(i + 1) % n_in]}));
+    }
+  }
+  nl.finalize();
+  return nl;
+}
+
+/// Random tests whose pattern values include X, so every predicate code of
+/// the pack (known or not, 0 or 1, per plane) occurs on every input.
+std::vector<TwoPatternTest> partial_tests(std::size_t n_in, std::uint64_t seed,
+                                          std::size_t count) {
+  static constexpr V3 kVals[] = {V3::Zero, V3::One, V3::X};
+  Rng rng(seed);
+  std::vector<TwoPatternTest> out(count);
+  for (TwoPatternTest& t : out) {
+    t.pi_values.resize(n_in);
+    for (Triple& tri : t.pi_values) {
+      tri = pi_triple(kVals[rng.below(3)], kVals[rng.below(3)]);
+    }
+  }
+  return out;
+}
+
+// The test pack transposes in blocks of 64 inputs x 64 tests, and
+// random_small_netlist has at most 6 inputs, so this covers the block
+// edges on both axes: input counts around one and two blocks, test counts
+// of one, just past one word and just past one avx512 word. One-shot and
+// prepared results must both equal scalar's.
+TEST_P(BackendP, MultiBlockPackingMatchesScalar) {
+  sim::SimBackend* backend = GetParam();
+  for (const std::size_t n_in : {1, 63, 64, 65, 130}) {
+    const Netlist nl = wide_input_netlist(n_in);
+    const auto targets = probe_faults(nl);
+    const BatchSimulator ref(nl, &sim::scalar_backend());
+    const BatchSimulator fsim(nl, backend);
+    sim::PreparedBatch prep;
+    for (const std::size_t count : {1, 65, 513}) {
+      const auto tests = partial_tests(n_in, 0xc000 + n_in * 1000 + count,
+                                       count);
+      const DetectionMatrix want = ref.detection_matrix(tests, targets);
+      ASSERT_EQ(fsim.detection_matrix(tests, targets), want)
+          << backend->name() << " at " << n_in << " inputs, " << count
+          << " tests";
+      fsim.prepare(tests, targets, prep);
+      ASSERT_EQ(fsim.detection_matrix(tests, targets, prep), want)
+          << backend->name() << " prepared at " << n_in << " inputs, "
+          << count << " tests";
+    }
   }
 }
 
