@@ -15,10 +15,6 @@
 //                    bit-identical results, see DESIGN.md §11)
 //   --metrics        dump the runtime metrics registry to stderr at exit
 //   --metrics-json F write a machine-readable run manifest (JSON) to F
-//   --bench-json F   write a normalized pdf.bench_record/1 perf record to F
-//                    (bench, circuits, backend, threads, wall_ns, key
-//                    throughput counter, cache hit rate) — the input format
-//                    of tools/pdf_bench_diff for regression gating
 //   --trace F        record a span trace and write Chrome-trace JSON to F
 //                    (open in Perfetto / chrome://tracing)
 //   --store DIR      artifact-store root for stage memoization
@@ -39,7 +35,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
@@ -76,7 +71,6 @@ struct Options {
   std::string store_dir = ".artifact-store";
   std::string trace_file;
   std::string metrics_json_file;
-  std::string bench_json_file;
   std::string bench_name;  // basename of argv[0]
   std::vector<std::string> circuits;
   std::shared_ptr<store::StageCache> stage_cache;
@@ -133,42 +127,6 @@ class CircuitScope {
   std::uint64_t span_begin_ns_ = 0;
 };
 
-/// The normalized perf record behind --bench-json: one flat JSON object per
-/// run, schema pdf.bench_record/1, consumed by tools/pdf_bench_diff. Wall
-/// time is the sum of the per-circuit times (CircuitScope), the throughput
-/// counter is tests generated per second, and the cache hit rate comes from
-/// the store.{hits,misses} counters (0 when the store is off or untouched).
-inline obs::Json bench_record_json(const Options& o) {
-  auto& m = runtime::Metrics::global();
-  double wall_s = 0.0;
-  std::string circuits;
-  for (const auto& [name, secs] : *o.circuit_seconds) {
-    wall_s += secs;
-    if (!circuits.empty()) circuits += ',';
-    circuits += name;
-  }
-  const std::uint64_t tests = m.counter("atpg.tests_generated").read();
-  const std::uint64_t hits = m.counter("store.hits").read();
-  const std::uint64_t misses = m.counter("store.misses").read();
-
-  obs::Json doc;
-  doc["schema"] = "pdf.bench_record/1";
-  doc["bench"] = o.bench_name;
-  doc["circuit"] = circuits;
-  doc["backend"] = o.backend;
-  doc["threads"] = static_cast<std::int64_t>(runtime::global_threads());
-  doc["wall_ns"] = static_cast<std::uint64_t>(wall_s * 1e9);
-  doc["throughput_counter"] = "atpg.tests_generated";
-  doc["throughput_value"] = tests;
-  doc["throughput_per_sec"] =
-      wall_s > 0.0 ? static_cast<double>(tests) / wall_s : 0.0;
-  doc["cache_hit_rate"] =
-      hits + misses == 0
-          ? 0.0
-          : static_cast<double>(hits) / static_cast<double>(hits + misses);
-  return doc;
-}
-
 /// End-of-run hook: stderr metrics dump, trace export, manifest export.
 /// Replaces the old bare dump_metrics(o) call at the end of every driver.
 inline void finish_run(const Options& o) {
@@ -183,15 +141,6 @@ inline void finish_run(const Options& o) {
     }
     info.trace_events = o.trace_session->events().size();
     info.trace_dropped = o.trace_session->dropped();
-  }
-  if (!o.bench_json_file.empty()) {
-    std::ofstream f(o.bench_json_file,
-                    std::ios::binary | std::ios::trunc);
-    if (f) f << bench_record_json(o).dump() << "\n";
-    if (!f) {
-      std::fprintf(stderr, "warning: could not write bench record to %s\n",
-                   o.bench_json_file.c_str());
-    }
   }
   if (o.metrics_json_file.empty()) return;
   info.bench = o.bench_name;
@@ -265,8 +214,6 @@ inline Options parse_options(int argc, char** argv,
       o.metrics = true;
     } else if (a == "--metrics-json") {
       o.metrics_json_file = next();
-    } else if (a == "--bench-json") {
-      o.bench_json_file = next();
     } else if (a == "--trace") {
       o.trace_file = next();
     } else if (a == "--store") {
@@ -290,7 +237,7 @@ inline Options parse_options(int argc, char** argv,
       std::printf(
           "options: [--paper] [--np N] [--np0 N] [--seed S] [--csv] "
           "[--threads N] [--backend %s] [--metrics] [--metrics-json FILE] "
-          "[--bench-json FILE] [--trace FILE] [--store DIR] [--no-store] "
+          "[--trace FILE] [--store DIR] [--no-store] "
           "[--circuits a,b,c]\n"
           "backend: batched fault simulation engine (default %s); every\n"
           "backend produces bit-identical results at any thread count.\n",

@@ -1,14 +1,7 @@
-// Microbenchmarks of the hot engines (google-benchmark): full triple
-// simulation, implication closure, justification and batched fault
-// simulation.
+// Bench gates of the engines: one mode per run, each exits nonzero when its
+// gate fails.
 //
-// Special modes:
-//   micro_engines threads [--circuit NAME] [--backend NAME] [--csv] [--metrics]
-// thread-scaling sweep: runs BatchSimulator::detection_matrix on NAME
-// at 1, 2, 4 and 8 pool threads, verifies every matrix is bit-identical to
-// the single-thread run, and reports wall time and speedup per thread count.
-//   micro_engines backends [--circuit NAME] [--csv] [--metrics]
-//                          [--metrics-json FILE] [--bench-json FILE]
+//   micro_engines backends [--circuit NAME]
 // backend comparison: builds the same detection matrix through every
 // registered sim::SimBackend, verifies all matrices are bit-identical to the
 // scalar reference and that the steady-state sweeps allocate nothing (the
@@ -18,13 +11,13 @@
 // all matrices match, the zero-allocation invariant holds, the bit-parallel
 // backend beats scalar by at least 5x, and each registered wide backend
 // meets its target over bitpar (DESIGN.md section 11).
-//   micro_engines store [--circuit NAME] [--dir DIR] [--csv] [--metrics]
+//   micro_engines store [--circuit NAME] [--dir DIR]
 // cold-vs-warm pipeline comparison through the content-addressed artifact
 // store: runs the full enumeration -> ATPG -> coverage -> detection-matrix
 // pipeline twice against a fresh store root (default .artifact-store.micro,
 // wiped first), verifies the warm results are identical to the cold ones,
 // and reports per-phase wall clock, speedup and store hit/miss counts.
-//   micro_engines serve [--circuit NAME] [--dir DIR] [--csv] [--metrics]
+//   micro_engines serve [--circuit NAME] [--dir DIR]
 // in-process serve::Server throughput: pushes a mixed hot/cold job stream
 // through 4 worker shards over a fresh store root (default
 // .artifact-store.serve, wiped first and after), verifies every response's
@@ -32,44 +25,37 @@
 // same request, and reports jobs/s, end-to-end latency p50/p99 and the
 // stage-cache hit/miss split. Exits nonzero on any mismatch or if the hot
 // half of the stream produced no cache hits.
-//   micro_engines obs [--circuit NAME] [--csv]
+//   micro_engines obs [--circuit NAME]
 // instrumentation overhead on the robust-sim hot loop: times the loop bare,
 // with PDF_TRACE_SPAN while tracing is disabled (the steady state of every
 // run without --trace; budget < 2%), with PDF_LOG while logging is off
 // (same one-relaxed-load contract and budget), and with a live
 // TraceSession, and reports the overhead percentages.
-// Any other invocation falls through to the normal google-benchmark driver.
-#include <benchmark/benchmark.h>
-
+//
+// Any other invocation prints usage and exits 2.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 
-#include "atpg/justify.hpp"
 #include "core/compiled_circuit.hpp"
 #include "enrich/enrichment.hpp"
 #include "enrich/target_sets.hpp"
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "obs/log.hpp"
-#include "obs/manifest.hpp"
 #include "obs/trace.hpp"
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "sim/backend.hpp"
 #include "runtime/metrics.hpp"
-#include "runtime/thread_pool.hpp"
 #include "sim/triple_sim.hpp"
 #include "store/stage_cache.hpp"
 
@@ -77,142 +63,15 @@ namespace {
 
 using namespace pdf;
 
-const Netlist& circuit() {
-  static const Netlist nl = benchmark_circuit("s1196_like");
-  return nl;
-}
+// ---- shared timing helpers --------------------------------------------------
 
-const TargetSets& targets() {
-  static const TargetSets ts = [] {
-    TargetSetConfig cfg;
-    cfg.n_p = 2000;
-    cfg.n_p0 = 200;
-    return build_target_sets(circuit(), cfg);
-  }();
-  return ts;
-}
-
-void BM_CompiledTripleSim(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  const CompiledCircuit cc(nl);
-  SimScratch scratch;
-  Rng rng(1);
-  std::vector<Triple> pis(nl.inputs().size());
-  for (auto& t : pis) {
-    t = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                  rng.coin() ? V3::One : V3::Zero);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate(cc, pis, scratch));
-  }
-  state.SetItemsProcessed(state.iterations() * nl.node_count());
-}
-BENCHMARK(BM_CompiledTripleSim);
-
-void BM_CompiledPlaneSim(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  const CompiledCircuit cc(nl);
-  SimScratch scratch;
-  Rng rng(1);
-  std::vector<V3> pis(nl.inputs().size());
-  for (auto& v : pis) v = rng.coin() ? V3::One : V3::Zero;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(simulate_plane(cc, pis, scratch));
-  }
-  state.SetItemsProcessed(state.iterations() * nl.node_count());
-}
-BENCHMARK(BM_CompiledPlaneSim);
-
-void BM_Implication(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  ImplicationEngine eng(nl);
-  const auto& tf = targets().p0.front();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.imply(tf.requirements));
-  }
-}
-BENCHMARK(BM_Implication);
-
-void BM_Justify(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  JustificationEngine eng(nl, 3);
-  const auto& faults = targets().p0;
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(eng.justify(faults[i % faults.size()].requirements));
-    ++i;
-  }
-}
-BENCHMARK(BM_Justify);
-
-void BM_FaultSimBatch(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  FaultSimulator fsim(nl);
-  Rng rng(4);
-  TwoPatternTest t;
-  t.pi_values.resize(nl.inputs().size());
-  for (auto& v : t.pi_values) {
-    v = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                  rng.coin() ? V3::One : V3::Zero);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fsim.detects(t, targets().p0));
-  }
-  state.SetItemsProcessed(state.iterations() * targets().p0.size());
-}
-BENCHMARK(BM_FaultSimBatch);
-
-void BM_FaultSimBitPar64(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  BatchSimulator fsim(nl, &sim::bitpar_backend());
-  Rng rng(5);
-  std::vector<TwoPatternTest> tests(64);
-  for (auto& t : tests) {
-    t.pi_values.resize(nl.inputs().size());
-    for (auto& v : t.pi_values) {
-      v = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                    rng.coin() ? V3::One : V3::Zero);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fsim.detects_any(tests, targets().p0));
-  }
-  state.SetItemsProcessed(state.iterations() * targets().p0.size() * 64);
-}
-BENCHMARK(BM_FaultSimBitPar64);
-
-void BM_FaultSimScalar64(benchmark::State& state) {
-  const Netlist& nl = circuit();
-  BatchSimulator fsim(nl, &sim::scalar_backend());
-  Rng rng(5);
-  std::vector<TwoPatternTest> tests(64);
-  for (auto& t : tests) {
-    t.pi_values.resize(nl.inputs().size());
-    for (auto& v : t.pi_values) {
-      v = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                    rng.coin() ? V3::One : V3::Zero);
-    }
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fsim.detects_any(tests, targets().p0));
-  }
-  state.SetItemsProcessed(state.iterations() * targets().p0.size() * 64);
-}
-BENCHMARK(BM_FaultSimScalar64);
-
-// ---- shared timing helper ---------------------------------------------------
-
-double measure_ms(const std::function<void()>& fn, int rounds) {
-  using clock = std::chrono::steady_clock;
-  double best = 1e300;
-  for (int r = 0; r < rounds; ++r) {
-    const auto t0 = clock::now();
-    fn();
-    const auto t1 = clock::now();
-    best = std::min(best,
-                    std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
-  return best;
+/// Milliseconds one call of `fn` takes.
+double time_ms(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
 }
 
 /// Mean per-call milliseconds of `fn` over one window: `fn` repeats until at
@@ -231,91 +90,9 @@ double window_ms(const std::function<void()>& fn, double min_ms = 100.0) {
   return elapsed / static_cast<double>(calls);
 }
 
-// ---- thread-scaling mode ---------------------------------------------------
-
-int run_thread_scaling(const std::string& name, bool csv, bool metrics) {
-  if (!has_benchmark(name)) {
-    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
-                 name.c_str());
-    return 2;
-  }
-  const Netlist nl = benchmark_circuit(name);
-
-  TargetSetConfig tcfg;
-  tcfg.n_p = 4000;
-  tcfg.n_p0 = 300;
-  const TargetSets ts = build_target_sets(nl, tcfg);
-  if (ts.p0.empty()) {
-    std::fprintf(stderr, "no target faults on %s\n", name.c_str());
-    return 2;
-  }
-
-  constexpr std::size_t kTests = 1024;
-  Rng rng(98765);
-  std::vector<TwoPatternTest> tests(kTests);
-  for (auto& t : tests) {
-    t.pi_values.resize(nl.inputs().size());
-    for (auto& v : t.pi_values) {
-      v = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                    rng.coin() ? V3::One : V3::Zero);
-    }
-  }
-
-  const BatchSimulator fsim(nl);  // the selected backend (--backend)
-  const int rounds = 5;
-
-  std::printf("== detection_matrix thread scaling ==\n");
-  std::printf("circuit: %s (%zu nodes), faults: %zu, tests: %zu\n",
-              name.c_str(), nl.node_count(), ts.p0.size(), kTests);
-  std::printf("%8s %12s %10s %12s\n", "threads", "best ms", "speedup",
-              "identical");
-
-  struct Row {
-    std::size_t threads;
-    double ms;
-    bool identical;
-  };
-  std::vector<Row> rows;
-  DetectionMatrix reference;
-  bool all_identical = true;
-  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    runtime::set_global_threads(threads);
-    DetectionMatrix m;
-    const double ms = measure_ms(
-        [&] { m = fsim.detection_matrix(tests, ts.p0); }, rounds);
-    if (threads == 1) reference = m;
-    const bool identical = m == reference;
-    all_identical = all_identical && identical;
-    rows.push_back({threads, ms, identical});
-    std::printf("%8zu %12.3f %9.2fx %12s\n", threads, ms, rows.front().ms / ms,
-                identical ? "yes" : "NO");
-  }
-  runtime::set_global_threads(1);
-
-  if (csv) {
-    std::printf("\ncsv:\nthreads,ms,speedup,identical\n");
-    for (const Row& r : rows) {
-      std::printf("%zu,%.4f,%.3f,%d\n", r.threads, r.ms, rows.front().ms / r.ms,
-                  r.identical ? 1 : 0);
-    }
-  }
-  if (metrics) {
-    std::fprintf(stderr, "\n-- runtime metrics --\n%s",
-                 runtime::Metrics::global().dump().c_str());
-  }
-  return all_identical ? 0 : 1;
-}
-
 // ---- backend-comparison mode -----------------------------------------------
 
-int run_backend_compare(const std::string& name, bool csv, bool metrics,
-                        const std::string& metrics_json,
-                        const std::string& bench_json) {
-  if (!has_benchmark(name)) {
-    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
-                 name.c_str());
-    return 2;
-  }
+int run_backend_compare(const std::string& name) {
   const Netlist nl = benchmark_circuit(name);
 
   TargetSetConfig tcfg;
@@ -426,75 +203,6 @@ int run_backend_compare(const std::string& name, bool csv, bool metrics,
     std::printf("%s over bitpar: %.2fx (gate: >= %.1fx) %s\n", r.backend,
                 over_bitpar, target, met ? "" : "FAIL");
   }
-
-  if (csv) {
-    std::printf(
-        "\ncsv:\nbackend,lanes,ms,speedup,vs_bitpar,throughput,identical,"
-        "zero_alloc\n");
-    for (const Row& r : rows) {
-      std::printf("%s,%zu,%.4f,%.3f,%.3f,%.3e,%d,%d\n", r.backend, r.lanes,
-                  r.ms, rows.front().ms / r.ms,
-                  bitpar_row != nullptr ? bitpar_row->ms / r.ms : 0.0,
-                  r.throughput, r.identical ? 1 : 0, r.zero_alloc ? 1 : 0);
-    }
-  }
-  if (metrics) {
-    std::fprintf(stderr, "\n-- runtime metrics --\n%s",
-                 runtime::Metrics::global().dump().c_str());
-  }
-  if (!metrics_json.empty()) {
-    for (const Row& r : rows) {
-      runtime::Metrics::global()
-          .counter("bench.backends." + std::string(r.backend) +
-                   ".tests_x_faults_per_sec")
-          .add(static_cast<std::uint64_t>(r.throughput));
-    }
-    obs::RunInfo info;
-    info.bench = "micro_engines.backends";
-    info.n_p = tcfg.n_p;
-    info.n_p0 = tcfg.n_p0;
-    info.threads = runtime::global_threads();
-    info.backend = sim::selected_backend().name();
-    for (const Row& r : rows) {
-      info.circuits.emplace_back(std::string(name) + ":" + r.backend,
-                                 r.ms / 1000.0);
-    }
-    if (!obs::write_run_manifest(metrics_json, info)) {
-      std::fprintf(stderr, "warning: could not write manifest to %s\n",
-                   metrics_json.c_str());
-    }
-  }
-  if (!bench_json.empty()) {
-    // Normalized pdf.bench_record/1 records (same shape bench/common.hpp
-    // emits), consumed by tools/pdf_bench_diff. FILE keeps the bit-parallel
-    // record (the long-standing perf trajectory this mode gates) and
-    // FILE.<backend> adds one record per registered backend, so CI can diff
-    // each width against its own baseline — or against a synthesized one to
-    // gate wide-over-bitpar throughput ratios.
-    const auto write_record = [&](const std::string& path, const Row& r) {
-      obs::Json doc;
-      doc["schema"] = "pdf.bench_record/1";
-      doc["bench"] = "micro_engines.backends";
-      doc["circuit"] = name;
-      doc["backend"] = r.backend;
-      doc["threads"] = static_cast<std::int64_t>(runtime::global_threads());
-      doc["wall_ns"] = static_cast<std::uint64_t>(r.ms * 1e6);
-      doc["throughput_counter"] = "sim.tests_x_faults_per_sec";
-      doc["throughput_value"] = static_cast<std::uint64_t>(work);
-      doc["throughput_per_sec"] = r.throughput;
-      doc["cache_hit_rate"] = 0.0;  // backend sweeps never touch the store
-      std::ofstream f(path, std::ios::binary | std::ios::trunc);
-      if (f) f << doc.dump() << "\n";
-      if (!f) {
-        std::fprintf(stderr, "warning: could not write bench record to %s\n",
-                     path.c_str());
-      }
-    };
-    if (bitpar_row != nullptr) write_record(bench_json, *bitpar_row);
-    for (const Row& r : rows) {
-      write_record(bench_json + "." + r.backend, r);
-    }
-  }
   return all_identical && all_zero_alloc && bitpar_speedup >= 5.0 &&
                  wide_targets_met
              ? 0
@@ -517,13 +225,7 @@ struct StoreCounters {
   }
 };
 
-int run_store_mode(const std::string& name, const std::string& dir, bool csv,
-                   bool metrics) {
-  if (!has_benchmark(name)) {
-    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
-                 name.c_str());
-    return 2;
-  }
+int run_store_mode(const std::string& name, const std::string& dir) {
   const Netlist nl = benchmark_circuit(name);
   TargetSetConfig tcfg;
   tcfg.n_p = 4000;
@@ -593,31 +295,12 @@ int run_store_mode(const std::string& name, const std::string& dir, bool csv,
   std::printf("results identical: %s; warm misses: %llu\n",
               identical ? "yes" : "NO",
               static_cast<unsigned long long>(warm.counters.misses));
-  if (csv) {
-    std::printf("\ncsv:\npass,ms,hits,misses,identical\n");
-    std::printf("cold,%.4f,%llu,%llu,%d\nwarm,%.4f,%llu,%llu,%d\n", cold.ms,
-                static_cast<unsigned long long>(cold.counters.hits),
-                static_cast<unsigned long long>(cold.counters.misses),
-                identical ? 1 : 0, warm.ms,
-                static_cast<unsigned long long>(warm.counters.hits),
-                static_cast<unsigned long long>(warm.counters.misses),
-                identical ? 1 : 0);
-  }
-  if (metrics) {
-    std::fprintf(stderr, "\n-- runtime metrics --\n%s",
-                 runtime::Metrics::global().dump().c_str());
-  }
   return identical && warm.counters.misses == 0 ? 0 : 1;
 }
 
 // ---- tracing-overhead mode -------------------------------------------------
 
-int run_obs_mode(const std::string& name, bool csv) {
-  if (!has_benchmark(name)) {
-    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
-                 name.c_str());
-    return 2;
-  }
+int run_obs_mode(const std::string& name) {
   const Netlist nl = benchmark_circuit(name);
   const CompiledCircuit cc(nl);
   SimScratch scratch;
@@ -637,54 +320,55 @@ int run_obs_mode(const std::string& name, bool csv) {
       static_cast<int>(std::max<std::size_t>(1, 2'000'000 / nl.node_count()));
   const int rounds = 9;
 
-  // Bare loop: no span marker at all.
-  const double base_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          benchmark::DoNotOptimize(simulate(cc, tests[r % kTests], scratch));
-        }
-      },
-      rounds);
-
-  // Span marker present, tracing disabled: one relaxed load per iteration —
-  // the cost every table run pays for instrumented engines without --trace.
-  const double disabled_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          PDF_TRACE_SPAN("obs.robust_sim");
-          benchmark::DoNotOptimize(simulate(cc, tests[r % kTests], scratch));
-        }
-      },
-      rounds);
-
+  // Every loop folds one value of each result into the sink, so no variant
+  // can drop the simulation.
+  volatile int sink = 0;
+  const auto sim = [&](int r) {
+    const auto values = simulate(cc, tests[r % kTests], scratch);
+    sink = static_cast<int>(values.back().a3);
+  };
+  // Bare loop: no instrumentation at all.
+  const auto bare = [&] {
+    for (int r = 0; r < repeats; ++r) sim(r);
+  };
+  // Span marker present: one relaxed load per iteration while tracing is
+  // disabled (the cost every table run pays without --trace), two clock
+  // reads plus a ring write while a session records.
+  const auto span = [&] {
+    for (int r = 0; r < repeats; ++r) {
+      PDF_TRACE_SPAN("obs.robust_sim");
+      sim(r);
+    }
+  };
   // Log statement present, logging off: the PDF_LOG macro mirrors the
   // PDF_TRACE_SPAN cost contract — one relaxed load per iteration when the
   // level gate fails, no formatting, no allocation.
+  const auto log = [&] {
+    for (int r = 0; r < repeats; ++r) {
+      PDF_LOG(Debug, "obs.robust_sim").num("r", std::int64_t{r});
+      sim(r);
+    }
+  };
   obs::set_log_level(obs::LogLevel::Off);
-  const double log_off_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          PDF_LOG(Debug, "obs.robust_sim").num("r", std::int64_t{r});
-          benchmark::DoNotOptimize(simulate(cc, tests[r % kTests], scratch));
-        }
-      },
-      rounds);
 
-  // Span marker present, tracing enabled: two clock reads plus a ring write.
+  // One untimed pass warms the scratch and caches; then each round times the
+  // four variants back to back, so a slow stretch of the host hits them all
+  // alike instead of whichever variant ran first.
+  bare();
   obs::TraceSession session;
-  if (!session.start(std::size_t{1} << 20)) {
-    std::fprintf(stderr, "could not start trace session\n");
-    return 2;
+  double base_ms = 1e300, disabled_ms = 1e300, log_off_ms = 1e300,
+         enabled_ms = 1e300;
+  for (int round = 0; round < rounds; ++round) {
+    base_ms = std::min(base_ms, time_ms(bare));
+    disabled_ms = std::min(disabled_ms, time_ms(span));
+    log_off_ms = std::min(log_off_ms, time_ms(log));
+    if (!session.start(std::size_t{1} << 20)) {
+      std::fprintf(stderr, "could not start trace session\n");
+      return 2;
+    }
+    enabled_ms = std::min(enabled_ms, time_ms(span));
+    session.stop();
   }
-  const double enabled_ms = measure_ms(
-      [&] {
-        for (int r = 0; r < repeats; ++r) {
-          PDF_TRACE_SPAN("obs.robust_sim");
-          benchmark::DoNotOptimize(simulate(cc, tests[r % kTests], scratch));
-        }
-      },
-      rounds);
-  session.stop();
   const std::uint64_t events = session.events().size();
   const std::uint64_t dropped = session.dropped();
 
@@ -704,16 +388,6 @@ int run_obs_mode(const std::string& name, bool csv) {
   std::printf("events recorded: %llu, dropped: %llu\n",
               static_cast<unsigned long long>(events),
               static_cast<unsigned long long>(dropped));
-  if (csv) {
-    std::printf(
-        "\ncsv:\ncircuit,base_ms,disabled_ms,log_off_ms,enabled_ms,"
-        "disabled_pct,log_off_pct,enabled_pct,events,dropped\n");
-    std::printf("%s,%.4f,%.4f,%.4f,%.4f,%.3f,%.3f,%.3f,%llu,%llu\n",
-                name.c_str(), base_ms, disabled_ms, log_off_ms, enabled_ms,
-                disabled_pct, log_off_pct, enabled_pct,
-                static_cast<unsigned long long>(events),
-                static_cast<unsigned long long>(dropped));
-  }
   // The acceptance budget for either disabled path (tracing, logging) is
   // 2%; gate CI at a much looser bound so scheduler noise on loaded runners
   // can't flake the job while a real regression (a lock, clock read, or
@@ -737,9 +411,7 @@ int run_obs_mode(const std::string& name, bool csv) {
 // response's deterministic result object is verified byte-identical to a
 // direct single-shot run_job of the same request, and the run reports
 // throughput plus the serve-side queue/latency distribution.
-int run_serve_mode(const std::string& name, const std::string& dir, bool csv,
-                   bool metrics) {
-  const Netlist nl = benchmark_circuit(name);
+int run_serve_mode(const std::string& name, const std::string& dir) {
   std::filesystem::remove_all(dir);
 
   serve::ServerConfig cfg;
@@ -828,17 +500,6 @@ int run_serve_mode(const std::string& name, const std::string& dir, bool csv,
               static_cast<unsigned long long>(hits),
               static_cast<unsigned long long>(misses));
   std::printf("single-shot equivalence: %s\n", ok ? "ok" : "MISMATCH");
-  if (csv) {
-    std::printf("\ncsv:\ncircuit,jobs,wall_s,jobs_per_s,p50_ms,p99_ms,hits,"
-                "misses,ok\n");
-    std::printf("%s,%d,%.4f,%.1f,%.3f,%.3f,%llu,%llu,%d\n", name.c_str(),
-                kJobs, secs, secs > 0 ? kJobs / secs : 0.0, pct(0.50),
-                pct(0.99), static_cast<unsigned long long>(hits),
-                static_cast<unsigned long long>(misses), ok ? 1 : 0);
-  }
-  if (metrics) {
-    std::fprintf(stderr, "%s", runtime::Metrics::global().dump().c_str());
-  }
   std::filesystem::remove_all(dir);
   // The warm half of the stream must actually have hit the cache.
   if (hits == 0) {
@@ -848,76 +509,53 @@ int run_serve_mode(const std::string& name, const std::string& dir, bool csv,
   return ok ? 0 : 1;
 }
 
+int usage() {
+  std::fprintf(stderr,
+               "usage: micro_engines backends [--circuit NAME]\n"
+               "       micro_engines store [--circuit NAME] [--dir DIR]\n"
+               "       micro_engines serve [--circuit NAME] [--dir DIR]\n"
+               "       micro_engines obs [--circuit NAME]\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool thread_scaling = false;
-  bool store_mode = false;
-  bool obs_mode = false;
-  bool backend_mode = false;
-  bool serve_mode = false;
-  bool csv = false;
-  bool metrics = false;
-  std::string circuit_name = "s13207_like";
-  std::string store_dir = ".artifact-store.micro";
-  std::string metrics_json;
-  std::string bench_json;
-  for (int i = 1; i < argc; ++i) {
-    const bool any_mode = thread_scaling || store_mode || obs_mode ||
-                          backend_mode || serve_mode;
-    if (std::strcmp(argv[i], "threads") == 0 && !any_mode) {
-      thread_scaling = true;
-    } else if (std::strcmp(argv[i], "store") == 0 && !any_mode) {
-      store_mode = true;
-      circuit_name = "s1196_like";  // mid-size default: cold pass in seconds
-    } else if (std::strcmp(argv[i], "obs") == 0 && !any_mode) {
-      obs_mode = true;
-    } else if (std::strcmp(argv[i], "backends") == 0 && !any_mode) {
-      backend_mode = true;
-      circuit_name = "s1196_like";  // the acceptance circuit for the 5x gate
-    } else if (std::strcmp(argv[i], "serve") == 0 && !any_mode) {
-      serve_mode = true;
-      circuit_name = "s27";  // per-job cost small: throughput, not ATPG time
-      store_dir = ".artifact-store.serve";
-    } else if (any_mode && std::strcmp(argv[i], "--csv") == 0) {
-      csv = true;
-    } else if ((thread_scaling || store_mode || backend_mode || serve_mode) &&
-               std::strcmp(argv[i], "--metrics") == 0) {
-      metrics = true;
-    } else if (backend_mode && std::strcmp(argv[i], "--metrics-json") == 0 &&
-               i + 1 < argc) {
-      metrics_json = argv[++i];
-    } else if (backend_mode && std::strcmp(argv[i], "--bench-json") == 0 &&
-               i + 1 < argc) {
-      bench_json = argv[++i];
-    } else if (thread_scaling && std::strcmp(argv[i], "--backend") == 0 &&
-               i + 1 < argc) {
-      try {
-        sim::select_backend(argv[++i]);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else if ((store_mode || serve_mode) && std::strcmp(argv[i], "--dir") == 0 &&
-               i + 1 < argc) {
-      store_dir = argv[++i];
-    } else if (any_mode && std::strcmp(argv[i], "--circuit") == 0 &&
-               i + 1 < argc) {
-      circuit_name = argv[++i];
+  if (argc < 2) return usage();
+  const std::string mode = argv[1];
+  // Per-mode defaults; an empty store_dir means the mode takes no --dir.
+  std::string circuit_name;
+  std::string store_dir;
+  if (mode == "backends") {
+    circuit_name = "s1196_like";  // the acceptance circuit for the 5x gate
+  } else if (mode == "store") {
+    circuit_name = "s1196_like";  // mid-size default: cold pass in seconds
+    store_dir = ".artifact-store.micro";
+  } else if (mode == "serve") {
+    circuit_name = "s27";  // per-job cost small: throughput, not ATPG time
+    store_dir = ".artifact-store.serve";
+  } else if (mode == "obs") {
+    circuit_name = "s13207_like";
+  } else {
+    return usage();
+  }
+  for (int i = 2; i < argc; ++i) {
+    const std::string flag = argv[i];
+    std::string* value = nullptr;
+    if (flag == "--circuit") value = &circuit_name;
+    if (flag == "--dir" && !store_dir.empty()) value = &store_dir;
+    if (value == nullptr || i + 1 >= argc || argv[i + 1][0] == '\0') {
+      return usage();
     }
+    *value = argv[++i];
   }
-  if (thread_scaling) return run_thread_scaling(circuit_name, csv, metrics);
-  if (store_mode) return run_store_mode(circuit_name, store_dir, csv, metrics);
-  if (obs_mode) return run_obs_mode(circuit_name, csv);
-  if (backend_mode) {
-    return run_backend_compare(circuit_name, csv, metrics, metrics_json,
-                               bench_json);
+  if (!has_benchmark(circuit_name)) {
+    std::fprintf(stderr, "unknown circuit '%s' (see bench_atpg --list)\n",
+                 circuit_name.c_str());
+    return 2;
   }
-  if (serve_mode) return run_serve_mode(circuit_name, store_dir, csv, metrics);
-
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
+  if (mode == "backends") return run_backend_compare(circuit_name);
+  if (mode == "store") return run_store_mode(circuit_name, store_dir);
+  if (mode == "serve") return run_serve_mode(circuit_name, store_dir);
+  return run_obs_mode(circuit_name);
 }

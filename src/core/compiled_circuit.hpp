@@ -107,13 +107,9 @@ class CompiledCircuit {
 /// steady state performs zero heap allocations.
 struct SimScratch {
   std::vector<Triple> triples;  // node-indexed triple plane
-  std::vector<V3> plane;        // node-indexed single 3-valued plane
 
   void prepare_triples(const CompiledCircuit& cc, const Triple& fill = kAllX) {
     triples.assign(cc.node_count(), fill);
-  }
-  void prepare_plane(const CompiledCircuit& cc, V3 fill = V3::X) {
-    plane.assign(cc.node_count(), fill);
   }
 };
 

@@ -11,12 +11,6 @@ std::vector<Triple> simulate(const Netlist& nl, std::span<const Triple> pi_value
   return std::move(scratch.triples);
 }
 
-std::vector<V3> simulate_plane(const Netlist& nl, std::span<const V3> pi_values) {
-  SimScratch scratch;
-  simulate_plane(CompiledCircuit(nl), pi_values, scratch);
-  return std::move(scratch.plane);
-}
-
 std::span<const Triple> simulate(const CompiledCircuit& cc,
                                  std::span<const Triple> pi_values,
                                  SimScratch& scratch) {
@@ -37,24 +31,6 @@ std::span<const Triple> simulate(const CompiledCircuit& cc,
     value[id] = eval_node_triple(cc, id, value);
   }
   return scratch.triples;
-}
-
-std::span<const V3> simulate_plane(const CompiledCircuit& cc,
-                                   std::span<const V3> pi_values,
-                                   SimScratch& scratch) {
-  if (pi_values.size() != cc.inputs().size()) {
-    throw std::invalid_argument("simulate_plane: wrong number of PI values");
-  }
-  scratch.prepare_plane(cc);
-  V3* value = scratch.plane.data();
-  for (std::size_t i = 0; i < pi_values.size(); ++i) {
-    value[cc.inputs()[i]] = pi_values[i];
-  }
-  for (NodeId id : cc.topo_order()) {
-    if (cc.type(id) == GateType::Input) continue;
-    value[id] = eval_node_plane(cc, id, value);
-  }
-  return scratch.plane;
 }
 
 }  // namespace pdf

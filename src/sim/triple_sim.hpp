@@ -44,18 +44,10 @@ inline Triple pi_triple(V3 b1, V3 b3) {
 /// combinational.
 std::vector<Triple> simulate(const Netlist& nl, std::span<const Triple> pi_values);
 
-/// Single-plane (classic 3-valued) simulation convenience, likewise compiled.
-std::vector<V3> simulate_plane(const Netlist& nl, std::span<const V3> pi_values);
-
 /// Compiled-core simulation: fills scratch.triples (one triple per node) and
 /// returns a view of it. No allocation once the scratch is warm.
 std::span<const Triple> simulate(const CompiledCircuit& cc,
                                  std::span<const Triple> pi_values,
                                  SimScratch& scratch);
-
-/// Compiled-core single-plane simulation into scratch.plane.
-std::span<const V3> simulate_plane(const CompiledCircuit& cc,
-                                   std::span<const V3> pi_values,
-                                   SimScratch& scratch);
 
 }  // namespace pdf

@@ -134,26 +134,6 @@ TEST(CompiledCircuit, DifferentialTripleSimulation) {
   }
 }
 
-TEST(CompiledCircuit, DifferentialPlaneSimulation) {
-  Rng rng(4051);
-  SimScratch scratch;
-  for (int iter = 0; iter < 40; ++iter) {
-    const Netlist nl = testutil::random_small_netlist(rng);
-    const CompiledCircuit cc(nl);
-    std::vector<V3> pis(nl.inputs().size());
-    for (auto& v : pis) {
-      const V3 vals[] = {V3::Zero, V3::One, V3::X};
-      v = vals[rng.below(3)];
-    }
-    const auto ref = oracle::simulate_plane(nl, pis);
-    const auto compiled = simulate_plane(cc, pis, scratch);
-    ASSERT_EQ(compiled.size(), ref.size());
-    for (NodeId id = 0; id < nl.node_count(); ++id) {
-      EXPECT_EQ(compiled[id], ref[id]) << nl.node(id).name;
-    }
-  }
-}
-
 TEST(CompiledCircuit, DifferentialOnGeneratedBenchmarks) {
   SimScratch scratch;
   Rng rng(9001);
@@ -231,8 +211,6 @@ TEST(CompiledCircuit, WrongPiCountThrows) {
   SimScratch scratch;
   std::vector<Triple> pis(2, kSteady0);
   EXPECT_THROW(simulate(cc, pis, scratch), std::invalid_argument);
-  std::vector<V3> pv(4, V3::X);
-  EXPECT_THROW(simulate_plane(cc, pv, scratch), std::invalid_argument);
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 #include "gen/registry.hpp"
 #include "gen/structured.hpp"
 #include "netlist/transform.hpp"
+#include "oracle/oracle.hpp"
 #include "paths/count.hpp"
-#include "sim/triple_sim.hpp"
 
 namespace pdf {
 namespace {
@@ -32,7 +32,7 @@ TEST(Multiplier, ComputesProductsExhaustively4x4) {
         pis[i] = (a >> i) & 1 ? V3::One : V3::Zero;
         pis[bits + i] = (b >> i) & 1 ? V3::One : V3::Zero;
       }
-      const auto values = simulate_plane(nl, pis);
+      const auto values = oracle::simulate_plane(nl, pis);
       EXPECT_EQ(read_product(nl, values), a * b) << a << " * " << b;
     }
   }
@@ -52,7 +52,7 @@ TEST(Multiplier, SpotChecks8x8) {
       pis[i] = (a >> i) & 1 ? V3::One : V3::Zero;
       pis[bits + i] = (b >> i) & 1 ? V3::One : V3::Zero;
     }
-    const auto values = simulate_plane(nl, pis);
+    const auto values = oracle::simulate_plane(nl, pis);
     EXPECT_EQ(read_product(nl, values), a * b) << a << " * " << b;
   }
 }
@@ -79,7 +79,7 @@ TEST(RegistryExtras, C17IsExact) {
   // Functional spot check: with all inputs 0 the first-level NANDs output 1,
   // so both output NANDs see (1, 1) and produce 0.
   std::vector<V3> pis(5, V3::Zero);
-  const auto v = simulate_plane(nl, pis);
+  const auto v = oracle::simulate_plane(nl, pis);
   for (NodeId out : nl.outputs()) EXPECT_EQ(v[out], V3::Zero);
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/transform.hpp"
-#include "sim/triple_sim.hpp"
+#include "oracle/oracle.hpp"
 
 namespace pdf {
 namespace {
@@ -25,7 +25,7 @@ TEST(Structured, RippleCarryAdderComputesSums) {
           pis[bits + i] = (b >> i) & 1 ? V3::One : V3::Zero;   // b bits
         }
         pis[2 * bits] = cin ? V3::One : V3::Zero;
-        const auto v = simulate_plane(nl, pis);
+        const auto v = oracle::simulate_plane(nl, pis);
         const unsigned expect = a + b + cin;
         for (std::size_t i = 0; i < bits; ++i) {
           const NodeId sum = nl.id_of("s" + std::to_string(i) + "_sc_x");
@@ -47,7 +47,7 @@ TEST(Structured, BarrelShifterRoutesData) {
   // All selects 0: identity routing.
   std::vector<V3> pis(nl.inputs().size(), V3::Zero);
   pis[3] = V3::One;  // d3 = 1
-  const auto v = simulate_plane(nl, pis);
+  const auto v = oracle::simulate_plane(nl, pis);
   std::size_t ones = 0;
   for (NodeId out : nl.outputs()) ones += v[out] == V3::One;
   EXPECT_EQ(ones, 1u);
@@ -66,7 +66,7 @@ TEST(Structured, CarrySkipChainLongestPathRunsWholeChain) {
     if (name.find("_g") != std::string::npos) pis[i] = V3::One;
     if (name == "c0") pis[i] = V3::One;
   }
-  const auto v = simulate_plane(nl, pis);
+  const auto v = oracle::simulate_plane(nl, pis);
   for (NodeId out : nl.outputs()) EXPECT_EQ(v[out], V3::One);
 }
 

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "netlist/bench_io.hpp"
-#include "sim/triple_sim.hpp"
+#include "oracle/oracle.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {
@@ -33,8 +33,8 @@ void expect_equivalent(const Netlist& a, const Netlist& b) {
       }
       ASSERT_TRUE(found) << name;
     }
-    const std::vector<V3> ra = simulate_plane(a, va);
-    const std::vector<V3> rb = simulate_plane(b, vb);
+    const std::vector<V3> ra = oracle::simulate_plane(a, va);
+    const std::vector<V3> rb = oracle::simulate_plane(b, vb);
     for (NodeId oa : a.outputs()) {
       const std::string& name = a.node(oa).name;
       if (!b.find(name)) continue;  // helper-renamed output

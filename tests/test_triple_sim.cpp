@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "gen/registry.hpp"
+#include "oracle/oracle.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {
@@ -86,7 +87,7 @@ TEST(TripleSim, PlanesMatchIndependentPlaneSimulation) {
     for (int plane = 0; plane < 3; ++plane) {
       std::vector<V3> pv(pis.size());
       for (std::size_t i = 0; i < pis.size(); ++i) pv[i] = pis[i][plane];
-      const auto flat = simulate_plane(nl, pv);
+      const auto flat = oracle::simulate_plane(nl, pv);
       for (NodeId id = 0; id < nl.node_count(); ++id) {
         EXPECT_EQ(triple[id][plane], flat[id])
             << nl.node(id).name << " plane " << plane;
@@ -99,8 +100,6 @@ TEST(TripleSim, WrongPiCountThrows) {
   const Netlist nl = testutil::tiny_and_or();
   std::vector<Triple> pis(2, kSteady0);
   EXPECT_THROW(simulate(nl, pis), std::invalid_argument);
-  std::vector<V3> pv(4, V3::X);
-  EXPECT_THROW(simulate_plane(nl, pv), std::invalid_argument);
 }
 
 TEST(TripleSim, S27PaperExampleValues) {
