@@ -117,12 +117,13 @@ int run_backend_compare(const std::string& name) {
   const int windows = 7;
   const double work = static_cast<double>(kTests) * ts.p0.size();
 
-  // The production sweep shape (n-detection analysis, ADI ordering,
-  // enrichment coverage) re-masks one fixed (tests, faults) batch over and
-  // over, so the steady-state number that matters is the prepared-path
-  // throughput: the width-independent PI pack + requirement plan built once
-  // via BatchSimulator::prepare and amortized across the sweep. Each backend
-  // also runs the one-shot path once and must produce the same bytes.
+  // Timing re-masks one fixed (tests, faults) batch through the prepared
+  // path: the width-independent PI pack + requirement plan are built once
+  // via BatchSimulator::prepare and reused by every timed call, so the
+  // windows time the kernel alone. No pipeline stage takes this path
+  // (enrichment coverage goes through the one-shot detects_any). Each
+  // backend also runs the one-shot path once and must produce the same
+  // bytes.
 
   std::printf("== detection_matrix backend comparison ==\n");
   std::printf("circuit: %s (%zu nodes), faults: %zu, tests: %zu\n",

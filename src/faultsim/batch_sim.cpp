@@ -1,7 +1,6 @@
 #include "faultsim/batch_sim.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
@@ -23,11 +22,6 @@ BatchSimulator::BatchSimulator(const Netlist& nl,
       backend_(backend != nullptr ? backend : &sim::selected_backend()) {
   if (cc_.has_sequential()) {
     throw std::logic_error("BatchSimulator: netlist is sequential");
-  }
-  if (!backend_->supports(cc_)) {
-    throw std::logic_error(std::string("BatchSimulator: backend '") +
-                           backend_->name() +
-                           "' does not support this circuit");
   }
 }
 

@@ -1,12 +1,13 @@
 // Batched robust fault simulation through a pluggable sim::SimBackend.
 //
 // BatchSimulator is the engine every whole-test-set consumer uses —
-// detection-matrix construction, enrichment coverage sweeps, greedy test
-// ordering, diagnosis. It compiles the netlist once, validates inputs, keeps
-// the engine-level observability (the `faultsim.detection_matrix` timer and
-// `faultsim.matrix_tests` histogram), and delegates the actual simulation to
-// a SimBackend: the process-wide selected backend by default (`--backend`),
-// or one pinned explicitly for differential testing.
+// detection-matrix construction (coverage reports, post-compaction, the
+// cached matrix) and enrichment coverage (detects_any). It compiles the
+// netlist once, validates inputs, keeps the engine-level observability (the
+// `faultsim.detection_matrix` timer and `faultsim.matrix_tests` histogram),
+// and delegates the actual simulation to a SimBackend: the process-wide
+// selected backend by default (`--backend`), or one pinned explicitly for
+// differential testing.
 //
 // Every backend produces the bit-identical DetectionMatrix for any thread
 // count (see src/sim/backend.hpp and DESIGN.md §11), so results never depend
@@ -49,9 +50,10 @@ class BatchSimulator {
                                    std::span<const TargetFault> faults) const;
 
   /// Width-independent precomputation for a batch that will be re-masked
-  /// repeatedly (n-detection sweeps, ADI ordering): the PI bit-pack and
-  /// requirement plan built once, reusable with any backend. Validates test
-  /// widths; reuses `prep`'s buffers across calls.
+  /// repeatedly: the PI bit-pack and requirement plan built once, reusable
+  /// with any backend. Validates test widths; reuses `prep`'s buffers across
+  /// calls. Only the `micro_engines backends` gate and the backend tests
+  /// call it; pipeline stages use the one-shot overloads.
   void prepare(std::span<const TwoPatternTest> tests,
                std::span<const TargetFault> faults,
                sim::PreparedBatch& prep) const;

@@ -56,11 +56,6 @@ class SimBackend {
   /// metric-name component and the manifest entry.
   virtual const char* name() const = 0;
 
-  /// Can this backend simulate `cc`? All current backends require a
-  /// combinational circuit; future accelerator backends may be narrower
-  /// (callers fall back to another backend or to FaultSimulator).
-  virtual bool supports(const CompiledCircuit& cc) const = 0;
-
   /// Tests simulated per packed word (1 scalar, 64 bitpar, 256 avx2, 512
   /// avx512). Purely informational — result bytes never depend on
   /// it — but benches and reports use it for per-width labeling.
@@ -79,9 +74,10 @@ class SimBackend {
   /// requirement plan) supplied by the caller instead of rebuilt per call.
   /// `prep` must have been built by prepare_batch() from exactly this
   /// (cc, tests, faults); results are byte-identical to detection_matrix().
-  /// Sweep workloads (n-detection, ADI ordering) that re-mask the same
-  /// batch repeatedly prepare once and amortize the setup away. The default
-  /// ignores `prep` — backends without packed setup (scalar) gain nothing.
+  /// A caller that re-masks one batch repeatedly prepares once and amortizes
+  /// the setup away; the `micro_engines backends` gate times this path, and
+  /// no pipeline stage calls it. The default ignores `prep` — backends
+  /// without packed setup (scalar) gain nothing.
   virtual DetectionMatrix detection_matrix_prepared(
       const CompiledCircuit& cc, std::span<const TwoPatternTest> tests,
       std::span<const TargetFault> faults, const PreparedBatch& prep) const {

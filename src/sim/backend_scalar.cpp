@@ -39,10 +39,6 @@ class ScalarBackend final : public SimBackend {
  public:
   const char* name() const override { return "scalar"; }
 
-  bool supports(const CompiledCircuit& cc) const override {
-    return !cc.has_sequential();
-  }
-
   DetectionMatrix detection_matrix(
       const CompiledCircuit& cc, std::span<const TwoPatternTest> tests,
       std::span<const TargetFault> faults) const override {

@@ -17,9 +17,9 @@
 // data, ordinary linkage, compiled baseline). The kernel here only reads
 // it: a wide word's input planes are K consecutive subword loads, and the
 // per-word mask phase is dense ANDs over precomputed atom masks. Callers
-// either pass a reusable PreparedBatch (detection_matrix_prepared — the
-// sweep path) or let the backend build both stages into its scratch per
-// call (detection_matrix).
+// either pass a reusable PreparedBatch (detection_matrix_prepared, which the
+// `micro_engines backends` gate times) or let the backend build both stages
+// into its scratch per call (detection_matrix, the pipeline's path).
 //
 // EVERYTHING in this header lives in an anonymous namespace on purpose.
 // The including TUs are compiled with different ISA flags (backend_avx2.cpp
@@ -141,8 +141,8 @@ Vec make_lane_mask(std::size_t lanes) {
 /// Simulates wide word `w` (tests [w*kLanes, w*kLanes + lanes)) into
 /// planes[q][node]: loads each input's packed subwords from the call-wide
 /// pre-pack, then evaluates gates word-parallel in topo order. Every node is
-/// written (inputs here, every gate by the topo sweep — supports() rejects
-/// sequential circuits), so no zeroing pass is needed.
+/// written (inputs here, every gate by the topo sweep — BatchSimulator
+/// rejects sequential circuits), so no zeroing pass is needed.
 template <typename Vec>
 void simulate_wide_word(const CompiledCircuit& cc, const PackedTests& pt,
                         std::size_t w, std::size_t lanes,
@@ -254,10 +254,6 @@ class WideBackend final : public SimBackend {
 
   const char* name() const override { return name_; }
   std::size_t lanes() const override { return Ops::kLanes; }
-
-  bool supports(const CompiledCircuit& cc) const override {
-    return !cc.has_sequential();
-  }
 
   DetectionMatrix detection_matrix(
       const CompiledCircuit& cc, std::span<const TwoPatternTest> tests,

@@ -19,12 +19,14 @@
 //     and a fault's detection word reduces to sequential ANDs over a dense
 //     table.
 //
-// The sweep workloads (n-detection analysis, ADI ordering, enrichment
-// coverage) mask the same tests and faults over and over; preparing once
-// and passing the PreparedBatch to detection_matrix_prepared() removes the
-// setup from every repeated call. Everything here is plain std::uint64_t
-// data — no SIMD types — so it has ordinary external linkage and is shared
-// by all backend TUs regardless of their ISA flags.
+// A caller that masks the same tests and faults repeatedly can prepare once
+// and pass the PreparedBatch to detection_matrix_prepared(), which removes
+// the setup from every repeated call. Only the `micro_engines backends` gate
+// (it times this path) and tests/test_backend.cpp do so; pipeline stages,
+// enrichment coverage's detects_any included, take the one-shot path.
+// Everything here is plain std::uint64_t data — no SIMD types — so it has
+// ordinary external linkage and is shared by all backend TUs regardless of
+// their ISA flags.
 #pragma once
 
 #include <cstdint>

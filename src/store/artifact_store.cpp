@@ -12,7 +12,6 @@
 #include <fstream>
 #else
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 #endif
@@ -23,6 +22,7 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr char kMagic[4] = {'P', 'D', 'A', 'S'};
+constexpr std::size_t kHeaderSize = 32;
 
 runtime::Metrics::Counter& hits_counter() {
   static auto& c = runtime::Metrics::global().counter("store.hits");
@@ -157,38 +157,6 @@ struct ArtifactStore::Header {
   std::uint64_t payload_hash = 0;
 };
 
-// ---- MappedArtifact ---------------------------------------------------------
-
-MappedArtifact::MappedArtifact(void* base, std::size_t file_size,
-                               std::size_t payload_size)
-    : base_(base), file_size_(file_size), payload_size_(payload_size) {}
-
-MappedArtifact::MappedArtifact(MappedArtifact&& other) noexcept
-    : base_(other.base_),
-      file_size_(other.file_size_),
-      payload_size_(other.payload_size_) {
-  other.base_ = nullptr;
-  other.file_size_ = 0;
-  other.payload_size_ = 0;
-}
-
-MappedArtifact& MappedArtifact::operator=(MappedArtifact&& other) noexcept {
-  if (this != &other) {
-    this->~MappedArtifact();
-    new (this) MappedArtifact(std::move(other));
-  }
-  return *this;
-}
-
-MappedArtifact::~MappedArtifact() {
-#if !defined(_WIN32)
-  if (base_ != nullptr) ::munmap(base_, file_size_);
-#else
-  delete[] static_cast<std::byte*>(base_);
-#endif
-  base_ = nullptr;
-}
-
 // ---- ArtifactStore ----------------------------------------------------------
 
 ArtifactStore::ArtifactStore(fs::path root) : root_(std::move(root)) {}
@@ -205,7 +173,7 @@ bool ArtifactStore::put(const ArtifactKey& key, std::uint16_t kind_version,
   fs::create_directories(final_path.parent_path(), ec);
   if (ec) return false;
 
-  std::uint8_t header[MappedArtifact::kHeaderSize];
+  std::uint8_t header[kHeaderSize];
   std::memcpy(header, kMagic, 4);
   put_u16le(header + 4, kContainerVersion);
   put_u16le(header + 6, kind_version);
@@ -236,7 +204,7 @@ std::optional<ArtifactStore::Header> ArtifactStore::load_header(
     quarantine(path);
     return std::nullopt;
   };
-  if (file_bytes.size() < MappedArtifact::kHeaderSize) return fail();
+  if (file_bytes.size() < kHeaderSize) return fail();
   const auto* h = reinterpret_cast<const std::uint8_t*>(file_bytes.data());
   if (std::memcmp(h, kMagic, 4) != 0) return fail();
   Header out;
@@ -252,11 +220,11 @@ std::optional<ArtifactStore::Header> ArtifactStore::load_header(
       out.kind_version != kind_version || out.key != key.key) {
     return fail();
   }
-  if (out.payload_size != file_bytes.size() - MappedArtifact::kHeaderSize) {
+  if (out.payload_size != file_bytes.size() - kHeaderSize) {
     return fail();
   }
   const std::span<const std::byte> payload =
-      file_bytes.subspan(MappedArtifact::kHeaderSize);
+      file_bytes.subspan(kHeaderSize);
   if (xxh64(payload.data(), payload.size()) != out.payload_hash) return fail();
   return out;
 }
@@ -329,68 +297,8 @@ std::optional<std::vector<std::byte>> ArtifactStore::get(
   bytes_read_counter().add(bytes.size());
   record_bytes_hist().record(bytes.size());
   hit_ns_hist().record(now_ns() - t0);
-  bytes.erase(bytes.begin(), bytes.begin() + MappedArtifact::kHeaderSize);
+  bytes.erase(bytes.begin(), bytes.begin() + kHeaderSize);
   return bytes;
-}
-
-std::optional<MappedArtifact> ArtifactStore::map(const ArtifactKey& key,
-                                                 std::uint16_t kind_version) {
-  const auto read_scope = read_timer().measure();
-  const std::uint64_t t0 = now_ns();
-  const fs::path path = path_of(key);
-#if !defined(_WIN32)
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    misses_counter().add();
-    return std::nullopt;
-  }
-  struct ::stat st {};
-  if (::fstat(fd, &st) != 0) {
-    ::close(fd);
-    misses_counter().add();
-    return std::nullopt;
-  }
-  if (st.st_size < static_cast<::off_t>(MappedArtifact::kHeaderSize)) {
-    ::close(fd);
-    misses_counter().add();
-    corrupt_counter().add();
-    quarantine(path);
-    return std::nullopt;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);
-  if (base == MAP_FAILED) {
-    misses_counter().add();
-    return std::nullopt;
-  }
-  MappedArtifact mapped(base, size, size - MappedArtifact::kHeaderSize);
-  const std::span<const std::byte> file_bytes{
-      static_cast<const std::byte*>(base), size};
-  if (!load_header(path, key, kind_version, file_bytes)) {
-    misses_counter().add();
-    return std::nullopt;
-  }
-  hits_counter().add();
-  bytes_read_counter().add(size);
-  record_bytes_hist().record(size);
-  hit_ns_hist().record(now_ns() - t0);
-  return mapped;
-#else
-  // No mmap on this platform: fall back to a heap copy with the same
-  // ownership semantics.
-  auto bytes = get(key, kind_version);
-  if (!bytes) return std::nullopt;
-  auto* heap = new std::byte[MappedArtifact::kHeaderSize + bytes->size()];
-  std::memcpy(heap + MappedArtifact::kHeaderSize, bytes->data(), bytes->size());
-  return MappedArtifact(heap, MappedArtifact::kHeaderSize + bytes->size(),
-                        bytes->size());
-#endif
-}
-
-bool ArtifactStore::contains(const ArtifactKey& key,
-                             std::uint16_t kind_version) {
-  return get(key, kind_version).has_value();
 }
 
 }  // namespace pdf::store

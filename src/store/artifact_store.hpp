@@ -10,8 +10,7 @@
 //   8       8     key (sanity: must match the filename-derived key)
 //   16      8     payload size in bytes
 //   24      8     XXH64 of the payload
-//   32      —     payload (8-byte-aligned file offset, so mmapped payloads
-//                 support the zero-copy views of serde.hpp)
+//   32      —     payload
 //
 // Crash safety / concurrency: writers write to a unique temp file in the
 // same directory, fsync it, then rename() onto the final path. rename() is
@@ -47,30 +46,6 @@ struct ArtifactKey {
   std::uint64_t key = 0;
 };
 
-/// An mmapped record held open for zero-copy reads. Movable; unmaps on
-/// destruction. payload() stays valid for the lifetime of the mapping.
-class MappedArtifact {
- public:
-  MappedArtifact() = default;
-  MappedArtifact(void* base, std::size_t file_size, std::size_t payload_size);
-  MappedArtifact(MappedArtifact&& other) noexcept;
-  MappedArtifact& operator=(MappedArtifact&& other) noexcept;
-  MappedArtifact(const MappedArtifact&) = delete;
-  MappedArtifact& operator=(const MappedArtifact&) = delete;
-  ~MappedArtifact();
-
-  std::span<const std::byte> payload() const {
-    return {static_cast<const std::byte*>(base_) + kHeaderSize, payload_size_};
-  }
-
-  static constexpr std::size_t kHeaderSize = 32;
-
- private:
-  void* base_ = nullptr;
-  std::size_t file_size_ = 0;
-  std::size_t payload_size_ = 0;
-};
-
 class ArtifactStore {
  public:
   /// Binds to a store root. Nothing is created until the first put().
@@ -87,14 +62,6 @@ class ArtifactStore {
   /// files are quarantined as a side effect).
   std::optional<std::vector<std::byte>> get(const ArtifactKey& key,
                                             std::uint16_t kind_version);
-
-  /// Zero-copy variant of get(): maps the record and verifies the checksum
-  /// over the mapping. The payload span borrows from the returned object.
-  std::optional<MappedArtifact> map(const ArtifactKey& key,
-                                    std::uint16_t kind_version);
-
-  /// True when a verified record exists (verifies, quarantining if corrupt).
-  bool contains(const ArtifactKey& key, std::uint16_t kind_version);
 
   /// Final path of a key's record file (whether or not it exists).
   std::filesystem::path path_of(const ArtifactKey& key) const;

@@ -1,17 +1,9 @@
 #include "store/serde.hpp"
 
-#include <bit>
-
 #include "store/hash.hpp"
 
 namespace pdf::store {
 namespace {
-
-// The zero-copy views reinterpret mmapped little-endian sections in place;
-// the repo only targets little-endian hosts (same assumption the compiled
-// simulation kernels make), so make the constraint explicit once.
-static_assert(std::endian::native == std::endian::little,
-              "zero-copy artifact views require a little-endian host");
 
 V3 v3_from_byte(std::uint8_t b) {
   if (b > static_cast<std::uint8_t>(V3::X)) throw SerdeError("invalid V3 byte");
@@ -43,21 +35,6 @@ std::vector<bool> decode_bool_vector(ByteReader& r) {
     if (i % 8 == 0) acc = r.u8();
     out[i] = (acc >> (i % 8)) & 1;
   }
-  return out;
-}
-
-void encode_u32_array(ByteWriter& w, std::span<const std::uint32_t> v) {
-  w.u64(v.size());
-  w.align8();
-  for (const std::uint32_t x : v) w.u32(x);
-  w.align8();
-}
-
-std::span<const std::uint32_t> decode_u32_array(ByteReader& r) {
-  const std::uint64_t n = r.length(r.u64(), sizeof(std::uint32_t));
-  r.align8();
-  const auto out = r.take_array<std::uint32_t>(n);
-  r.align8();
   return out;
 }
 
@@ -355,7 +332,7 @@ Netlist decode_netlist(ByteReader& r) {
   return nl;
 }
 
-// ---- detection matrix (zero-copy layout) ------------------------------------
+// ---- detection matrix -------------------------------------------------------
 
 void encode(ByteWriter& w, const DetectionMatrix& m) {
   w.u64(m.fault_count());
@@ -365,129 +342,24 @@ void encode(ByteWriter& w, const DetectionMatrix& m) {
 }
 
 DetectionMatrix decode_detection_matrix(ByteReader& r) {
-  const DetectionMatrixView view{r.take(r.remaining())};
-  return view.materialize();
-}
-
-DetectionMatrixView::DetectionMatrixView(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  fault_count_ = r.u64();
-  test_count_ = r.u64();
-  words_per_row_ = r.u64();
-  if (words_per_row_ != (test_count_ + 63) / 64) {
+  const std::uint64_t faults = r.u64();
+  const std::uint64_t tests = r.u64();
+  const std::uint64_t words_per_row = r.u64();
+  if (words_per_row != (tests + 63) / 64) {
     throw SerdeError("detection matrix stride mismatch");
   }
-  if (fault_count_ != 0 &&
-      words_per_row_ > r.remaining() / sizeof(std::uint64_t) / fault_count_) {
+  // Checked before the matrix is allocated, so a hostile header cannot drive
+  // a huge allocation.
+  if (faults != 0 &&
+      words_per_row > r.remaining() / sizeof(std::uint64_t) / faults) {
     throw SerdeError("detection matrix exceeds record");
   }
-  words_ = r.take_array<std::uint64_t>(fault_count_ * words_per_row_);
+  DetectionMatrix m(faults, tests);
+  for (std::uint64_t f = 0; f < faults; ++f) {
+    for (std::uint64_t& word : m.row(f)) word = r.u64();
+  }
   if (!r.exhausted()) throw SerdeError("trailing bytes after detection matrix");
-}
-
-DetectionMatrix DetectionMatrixView::materialize() const {
-  DetectionMatrix m(fault_count_, test_count_);
-  for (std::size_t f = 0; f < fault_count_; ++f) {
-    const std::span<const std::uint64_t> src = row(f);
-    const std::span<std::uint64_t> dst = m.row(f);
-    for (std::size_t i = 0; i < src.size(); ++i) dst[i] = src[i];
-  }
   return m;
-}
-
-// ---- compiled circuit (zero-copy layout) ------------------------------------
-
-void encode(ByteWriter& w, const CompiledCircuit& cc) {
-  const std::size_t n = cc.node_count();
-  w.u64(n);
-  w.i32(cc.depth());
-  w.u64(cc.max_fanin());
-  w.boolean(cc.has_sequential());
-
-  // types: u8 per node.
-  w.align8();
-  for (NodeId id = 0; id < n; ++id) w.u8(static_cast<std::uint8_t>(cc.type(id)));
-  w.align8();
-  // levels: i32 per node.
-  for (NodeId id = 0; id < n; ++id) w.i32(cc.level(id));
-  w.align8();
-  // output flags: u8 per node.
-  for (NodeId id = 0; id < n; ++id) w.u8(cc.is_output(id) ? 1 : 0);
-  w.align8();
-  // input_index: i32 per node (-1 for non-inputs).
-  for (NodeId id = 0; id < n; ++id) w.i32(cc.input_index(id));
-  w.align8();
-
-  // CSR adjacency, rebuilt as offsets + flat index arrays.
-  std::vector<std::uint32_t> fanin_off(n + 1, 0);
-  std::vector<std::uint32_t> fanout_off(n + 1, 0);
-  std::vector<std::uint32_t> fanin_flat;
-  std::vector<std::uint32_t> fanout_flat;
-  for (NodeId id = 0; id < n; ++id) {
-    for (const NodeId f : cc.fanins(id)) fanin_flat.push_back(f);
-    fanin_off[id + 1] = static_cast<std::uint32_t>(fanin_flat.size());
-    for (const NodeId f : cc.fanouts(id)) fanout_flat.push_back(f);
-    fanout_off[id + 1] = static_cast<std::uint32_t>(fanout_flat.size());
-  }
-  encode_u32_array(w, fanin_off);
-  encode_u32_array(w, fanin_flat);
-  encode_u32_array(w, fanout_off);
-  encode_u32_array(w, fanout_flat);
-
-  std::vector<std::uint32_t> tmp(cc.inputs().begin(), cc.inputs().end());
-  encode_u32_array(w, tmp);
-  tmp.assign(cc.outputs().begin(), cc.outputs().end());
-  encode_u32_array(w, tmp);
-  tmp.assign(cc.topo_order().begin(), cc.topo_order().end());
-  encode_u32_array(w, tmp);
-  tmp.assign(cc.level_offsets().begin(), cc.level_offsets().end());
-  encode_u32_array(w, tmp);
-}
-
-CompiledCircuitImage::CompiledCircuitImage(std::span<const std::byte> payload) {
-  ByteReader r(payload);
-  const std::uint64_t n = r.length(r.u64(), 0);
-  depth_ = r.i32();
-  max_fanin_ = r.u64();
-  has_sequential_ = r.boolean();
-
-  r.align8();
-  const std::span<const std::byte> types_raw = r.take(n);
-  types_ = {reinterpret_cast<const std::uint8_t*>(types_raw.data()), n};
-  for (const std::uint8_t t : types_) {
-    if (t > static_cast<std::uint8_t>(GateType::Dff)) {
-      throw SerdeError("invalid gate type byte");
-    }
-  }
-  r.align8();
-  levels_ = r.take_array<std::int32_t>(n);
-  r.align8();
-  const std::span<const std::byte> out_raw = r.take(n);
-  is_output_ = {reinterpret_cast<const std::uint8_t*>(out_raw.data()), n};
-  r.align8();
-  input_index_ = r.take_array<std::int32_t>(n);
-  r.align8();
-
-  fanin_off_ = decode_u32_array(r);
-  fanin_ = decode_u32_array(r);
-  fanout_off_ = decode_u32_array(r);
-  fanout_ = decode_u32_array(r);
-  inputs_ = decode_u32_array(r);
-  outputs_ = decode_u32_array(r);
-  topo_ = decode_u32_array(r);
-  level_off_ = decode_u32_array(r);
-
-  if (fanin_off_.size() != n + 1 || fanout_off_.size() != n + 1) {
-    throw SerdeError("compiled circuit offset table size mismatch");
-  }
-  if (!fanin_off_.empty() && fanin_off_.back() != fanin_.size()) {
-    throw SerdeError("compiled circuit fanin CSR mismatch");
-  }
-  if (!fanout_off_.empty() && fanout_off_.back() != fanout_.size()) {
-    throw SerdeError("compiled circuit fanout CSR mismatch");
-  }
-  if (topo_.size() != n) throw SerdeError("compiled circuit topo size mismatch");
-  if (!r.exhausted()) throw SerdeError("trailing bytes after compiled circuit");
 }
 
 // ---- digests ----------------------------------------------------------------

@@ -2,12 +2,8 @@
 //
 // Every codec writes an explicit little-endian byte stream — no struct
 // memcpy, no host-order fields — so a record written on any host decodes on
-// any other. Types that benefit from zero-copy reads (`CompiledCircuit`,
-// `DetectionMatrix`) additionally lay their arrays out 8-byte-aligned inside
-// the payload, and ship *view* types (`CompiledCircuitImage`,
-// `DetectionMatrixView`) whose spans point straight into an mmapped record;
-// the views require a little-endian host (checked at compile time where the
-// spans are formed) and fall back to the copying decoder otherwise.
+// any other. Decoders copy into owning values; the store reads a record
+// with ArtifactStore::get and hands the payload to `Serde<T>::get`.
 //
 // Versioning: each serializable type carries a `Serde<T>` trait with a
 // `kind` string and a `version` number. Both are folded into the artifact
@@ -30,7 +26,6 @@
 
 #include "atpg/generator.hpp"
 #include "atpg/test_pattern.hpp"
-#include "core/compiled_circuit.hpp"
 #include "enrich/enrichment.hpp"
 #include "enrich/target_sets.hpp"
 #include "faults/screen.hpp"
@@ -79,10 +74,6 @@ class ByteWriter {
     const auto* p = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), p, p + len);
   }
-  /// Zero-pads to an 8-byte boundary (for zero-copy array sections).
-  void align8() {
-    while (buf_.size() % 8 != 0) u8(0);
-  }
 
   std::size_t size() const { return buf_.size(); }
   std::span<const std::byte> view() const { return buf_; }
@@ -128,11 +119,6 @@ class ByteReader {
     const std::span<const std::byte> s = take(n);
     return std::string(reinterpret_cast<const char*>(s.data()), s.size());
   }
-  void align8() {
-    while (pos_ % 8 != 0) {
-      if (u8() != 0) throw SerdeError("nonzero padding byte");
-    }
-  }
 
   /// Consumes `n` bytes; throws on overrun.
   std::span<const std::byte> take(std::size_t n) {
@@ -152,20 +138,8 @@ class ByteReader {
     return n;
   }
 
-  std::size_t pos() const { return pos_; }
   std::size_t remaining() const { return data_.size() - pos_; }
   bool exhausted() const { return pos_ == data_.size(); }
-
-  /// Requires the cursor to sit on an 8-byte boundary and returns a typed
-  /// span over the next `count` elements without copying. Only valid for
-  /// trivially copyable element types on a little-endian host.
-  template <typename T>
-  std::span<const T> take_array(std::size_t count) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (pos_ % 8 != 0) throw SerdeError("misaligned array section");
-    const std::span<const std::byte> raw = take(count * sizeof(T));
-    return {reinterpret_cast<const T*>(raw.data()), count};
-  }
 
  private:
   std::span<const std::byte> data_;
@@ -215,97 +189,10 @@ UnionCoverage decode_union_coverage(ByteReader& r);
 void encode(ByteWriter& w, const Netlist& nl);
 Netlist decode_netlist(ByteReader& r);
 
-// ---- zero-copy record images ------------------------------------------------
-
-/// DetectionMatrix payload: three u64 header words, then the row-major word
-/// buffer (already 8-byte aligned). The view borrows the payload bytes.
+/// DetectionMatrix payload: three u64 header words (faults, tests, words
+/// per row), then the row-major words.
 void encode(ByteWriter& w, const DetectionMatrix& m);
 DetectionMatrix decode_detection_matrix(ByteReader& r);
-
-class DetectionMatrixView {
- public:
-  /// Binds to an encoded DetectionMatrix payload without copying the words.
-  /// The underlying buffer must outlive the view.
-  explicit DetectionMatrixView(std::span<const std::byte> payload);
-
-  std::size_t fault_count() const { return fault_count_; }
-  std::size_t test_count() const { return test_count_; }
-  std::size_t words_per_row() const { return words_per_row_; }
-
-  std::span<const std::uint64_t> row(std::size_t fault) const {
-    return words_.subspan(fault * words_per_row_, words_per_row_);
-  }
-  bool bit(std::size_t fault, std::size_t test) const {
-    return (row(fault)[test / 64] >> (test % 64)) & 1;
-  }
-  std::span<const std::uint64_t> words() const { return words_; }
-
-  /// Deep copy into an owning DetectionMatrix.
-  DetectionMatrix materialize() const;
-
- private:
-  std::size_t fault_count_ = 0;
-  std::size_t test_count_ = 0;
-  std::size_t words_per_row_ = 0;
-  std::span<const std::uint64_t> words_;
-};
-
-/// CompiledCircuit payload: scalar header, then each flat array as an
-/// 8-byte-aligned section. The image mirrors the CompiledCircuit read API
-/// (minus the netlist back-pointer) over borrowed memory.
-void encode(ByteWriter& w, const CompiledCircuit& cc);
-
-class CompiledCircuitImage {
- public:
-  /// Binds to an encoded CompiledCircuit payload without copying any array.
-  /// The underlying buffer must outlive the image.
-  explicit CompiledCircuitImage(std::span<const std::byte> payload);
-
-  std::size_t node_count() const { return types_.size(); }
-  GateType type(NodeId id) const { return static_cast<GateType>(types_[id]); }
-  std::span<const std::uint8_t> types() const { return types_; }
-  int level(NodeId id) const { return levels_[id]; }
-  std::span<const std::int32_t> levels() const { return levels_; }
-  int depth() const { return depth_; }
-  bool is_output(NodeId id) const { return is_output_[id] != 0; }
-  std::span<const std::uint8_t> output_flags() const { return is_output_; }
-  bool has_sequential() const { return has_sequential_; }
-  std::size_t max_fanin() const { return max_fanin_; }
-
-  std::span<const NodeId> fanins(NodeId id) const {
-    return fanin_.subspan(fanin_off_[id], fanin_off_[id + 1] - fanin_off_[id]);
-  }
-  std::span<const NodeId> fanouts(NodeId id) const {
-    return fanout_.subspan(fanout_off_[id],
-                           fanout_off_[id + 1] - fanout_off_[id]);
-  }
-  std::span<const NodeId> inputs() const { return inputs_; }
-  std::span<const NodeId> outputs() const { return outputs_; }
-  int input_index(NodeId id) const { return input_index_[id]; }
-  std::span<const NodeId> topo_order() const { return topo_; }
-  std::span<const std::uint32_t> level_offsets() const { return level_off_; }
-  std::span<const NodeId> level_nodes(int level) const {
-    const auto l = static_cast<std::size_t>(level);
-    return topo_.subspan(level_off_[l], level_off_[l + 1] - level_off_[l]);
-  }
-
- private:
-  std::span<const std::uint8_t> types_;
-  std::span<const std::int32_t> levels_;
-  std::span<const std::uint8_t> is_output_;
-  std::span<const std::uint32_t> fanin_off_;
-  std::span<const NodeId> fanin_;
-  std::span<const std::uint32_t> fanout_off_;
-  std::span<const NodeId> fanout_;
-  std::span<const NodeId> inputs_;
-  std::span<const NodeId> outputs_;
-  std::span<const std::int32_t> input_index_;
-  std::span<const NodeId> topo_;
-  std::span<const std::uint32_t> level_off_;
-  std::size_t max_fanin_ = 0;
-  int depth_ = 0;
-  bool has_sequential_ = false;
-};
 
 // ---- Serde traits -----------------------------------------------------------
 

@@ -40,8 +40,6 @@ class StageCache {
  public:
   explicit StageCache(std::filesystem::path root) : store_(std::move(root)) {}
 
-  ArtifactStore& store() { return store_; }
-
   /// Content address for a record of type T: kind, container and kind
   /// versions, and every input digest, folded in order.
   template <typename T>

@@ -22,7 +22,6 @@
 
 #include "base/rng.hpp"
 #include "base/triple.hpp"
-#include "core/compiled_circuit.hpp"
 #include "faults/requirements.hpp"
 #include "faults/screen.hpp"
 #include "faultsim/batch_sim.hpp"
@@ -225,8 +224,6 @@ TEST_P(BackendP, MatchesScalarSimulatorOnFixtures) {
     const auto targets = probe_faults(nl);
     const auto tests = random_tests(nl, 0xabc0 + nl.node_count(), 70);
     const FaultSimulator scalar(nl);
-    const CompiledCircuit cc(nl);
-    ASSERT_TRUE(backend->supports(cc)) << backend->name();
     const BatchSimulator fsim(nl, backend);
     const DetectionMatrix m = fsim.detection_matrix(tests, targets);
     for (std::size_t f = 0; f < targets.size(); ++f) {
@@ -405,8 +402,6 @@ TEST_P(BackendP, RejectsSequentialCircuits) {
   nl.mark_output(z);
   nl.finalize();
   ASSERT_TRUE(nl.has_sequential());
-  const CompiledCircuit cc(nl);
-  EXPECT_FALSE(backend->supports(cc)) << backend->name();
   EXPECT_THROW(BatchSimulator(nl, backend), std::logic_error);
 }
 
