@@ -8,11 +8,6 @@
 //   --csv            also print CSV after the table
 //   --threads N      size the runtime thread pool (default 1;
 //                    0 = hardware concurrency)
-//   --backend NAME   simulation backend for batched fault simulation
-//                    (scalar | bitpar, plus avx2/avx512 on hosts whose
-//                    CPU supports them; default = the widest registered
-//                    packed backend — all backends emit
-//                    bit-identical results, see DESIGN.md §11)
 //   --metrics        dump the runtime metrics registry to stderr at exit
 //   --metrics-json F write a machine-readable run manifest (JSON) to F
 //   --trace F        record a span trace and write Chrome-trace JSON to F
@@ -24,6 +19,9 @@
 //   --no-store       disable the artifact store (every stage recomputes)
 // Defaults are the scaled parameters recorded in EXPERIMENTS.md
 // (N_P=4000, N_P0=300), chosen so the full table reproduces in seconds.
+// Batched fault simulation runs on the host's widest backend
+// (sim::selected_backend(); cap it with PDF_SIMD); every backend emits
+// bit-identical results, see DESIGN.md §11.
 //
 // Observability flags never touch stdout: traces and manifests go to their
 // files, diagnostics to stderr, so table output stays bit-identical with
@@ -62,8 +60,6 @@ struct Options {
   std::size_t n_p0 = 300;
   std::uint64_t seed = 1;
   std::size_t threads = 1;
-  std::string backend;  // resolved to sim::selected_backend().name() in
-                        // parse_options; --backend overrides the selection
   bool csv = false;
   bool paper = false;
   bool metrics = false;
@@ -148,7 +144,7 @@ inline void finish_run(const Options& o) {
   info.n_p = o.n_p;
   info.n_p0 = o.n_p0;
   info.threads = runtime::global_threads();
-  info.backend = o.backend;
+  info.backend = sim::selected_backend().name();
   info.paper = o.paper;
   info.store_enabled = o.use_store;
   info.store_dir = o.use_store ? o.store_dir : "";
@@ -202,14 +198,6 @@ inline Options parse_options(int argc, char** argv,
       o.csv = true;
     } else if (a == "--threads") {
       o.threads = next_number();
-    } else if (a == "--backend") {
-      o.backend = next();
-      try {
-        sim::select_backend(o.backend);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-      }
     } else if (a == "--metrics") {
       o.metrics = true;
     } else if (a == "--metrics-json") {
@@ -236,12 +224,13 @@ inline Options parse_options(int argc, char** argv,
     } else if (a == "--help" || a == "-h") {
       std::printf(
           "options: [--paper] [--np N] [--np0 N] [--seed S] [--csv] "
-          "[--threads N] [--backend %s] [--metrics] [--metrics-json FILE] "
+          "[--threads N] [--metrics] [--metrics-json FILE] "
           "[--trace FILE] [--store DIR] [--no-store] "
           "[--circuits a,b,c]\n"
-          "backend: batched fault simulation engine (default %s); every\n"
-          "backend produces bit-identical results at any thread count.\n",
-          sim::backend_names().c_str(), sim::selected_backend().name());
+          "backend: batched fault simulation runs on %s, the widest this\n"
+          "host supports (PDF_SIMD caps it); every backend produces\n"
+          "bit-identical results at any thread count.\n",
+          sim::selected_backend().name());
       std::printf(
           "store: stages (enumeration, ATPG, fault simulation) are memoized\n"
           "in a content-addressed artifact store (default .artifact-store/);\n"
@@ -272,9 +261,6 @@ inline Options parse_options(int argc, char** argv,
     const unsigned hw = std::thread::hardware_concurrency();
     o.threads = hw == 0 ? 1 : hw;
   }
-  // Without --backend, manifests record whatever the capability dispatch
-  // actually selected (avx512 > avx2 > bitpar depending on the host).
-  if (o.backend.empty()) o.backend = sim::selected_backend().name();
   try {
     runtime::set_global_threads(o.threads);  // throws above kMaxThreads
   } catch (const std::invalid_argument& e) {

@@ -419,7 +419,6 @@ int run_serve_mode(const std::string& name, const std::string& dir) {
   cfg.concurrency = 4;
   cfg.queue_depth = 64;
   cfg.store_dir = dir;
-  cfg.backend = sim::selected_backend().name();
 
   constexpr int kJobs = 32;
   const auto make_job = [&](int j) {
@@ -455,7 +454,7 @@ int run_serve_mode(const std::string& name, const std::string& dir) {
 
   std::uint64_t hits = 0, misses = 0;
   std::vector<double> latency_ms;
-  const serve::JobContext uncached{nullptr, cfg.backend, "", ""};
+  const serve::JobContext uncached{};
   std::map<std::uint64_t, std::string> expected;  // seed -> result bytes
   bool ok = true;
   for (const auto& resp : responses) {

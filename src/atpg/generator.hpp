@@ -44,10 +44,6 @@ struct GeneratorConfig {
   CompactionHeuristic heuristic = CompactionHeuristic::Value;
   std::uint64_t seed = 1;
   JustifyConfig justify{};
-  /// The paper's fault list order is "arbitrary"; ours arrives sorted by
-  /// length from enumeration, so by default the Arbitrary heuristic applies a
-  /// deterministic shuffle to be a genuinely order-agnostic baseline.
-  bool shuffle_arbitrary = true;
   /// Stop offering secondary candidates for the current test after this many
   /// consecutive rejections (0 = consider every candidate, as in the paper).
   std::size_t max_consecutive_secondary_failures = 0;

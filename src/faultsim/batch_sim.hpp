@@ -5,9 +5,9 @@
 // cached matrix) and enrichment coverage (detects_any). It compiles the
 // netlist once, validates inputs, keeps the engine-level observability (the
 // `faultsim.detection_matrix` timer and `faultsim.matrix_tests` histogram),
-// and delegates the actual simulation to a SimBackend: the process-wide
-// selected backend by default (`--backend`), or one pinned explicitly for
-// differential testing.
+// and delegates the actual simulation to a SimBackend: the host's default
+// (sim::selected_backend(), the widest the CPU supports) unless one is
+// pinned explicitly for differential testing.
 //
 // Every backend produces the bit-identical DetectionMatrix for any thread
 // count (see src/sim/backend.hpp and DESIGN.md §11), so results never depend
@@ -31,8 +31,8 @@ namespace pdf {
 class BatchSimulator {
  public:
   /// The netlist must be finalized, combinational, and outlive the
-  /// simulator. `backend == nullptr` means the process-wide selection
-  /// (sim::selected_backend(), captured at construction).
+  /// simulator. `backend == nullptr` means the host's default,
+  /// sim::selected_backend().
   explicit BatchSimulator(const Netlist& nl,
                           const sim::SimBackend* backend = nullptr);
 

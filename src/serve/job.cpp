@@ -15,6 +15,7 @@
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
+#include "sim/backend.hpp"
 #include "store/serde.hpp"
 #include "store/stage_cache.hpp"
 
@@ -136,7 +137,7 @@ Response run_job(const Request& req, const JobContext& ctx,
       info.n_p = req.target.n_p;
       info.n_p0 = req.target.n_p0;
       info.threads = runtime::global_threads();
-      info.backend = ctx.backend;
+      info.backend = sim::selected_backend().name();
       info.store_enabled = ctx.cache != nullptr;
       info.store_dir = ctx.store_dir;
       info.circuits.emplace_back(label, secs);

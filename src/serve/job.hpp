@@ -28,9 +28,6 @@ namespace pdf::serve {
 struct JobContext {
   /// Shared warm tier; null = caching disabled.
   store::StageCache* cache = nullptr;
-  /// sim backend name recorded in manifests (fixed at server startup —
-  /// sim::select_backend is not safe to flip per request).
-  std::string backend;
   std::string store_dir;  // manifest bookkeeping only
   /// When non-empty, every job writes `job-<serial>.json` (a full
   /// pdf.run_manifest/1 document) into this directory.

@@ -61,10 +61,8 @@ Server::Server(ServerConfig cfg)
     throw std::invalid_argument("serve: concurrency above runtime::kMaxThreads");
   }
   if (cfg_.concurrency == 0) cfg_.concurrency = 1;
-  if (cfg_.backend.empty()) cfg_.backend = sim::selected_backend().name();
   if (!cfg_.store_dir.empty()) cache_.emplace(cfg_.store_dir);
   ctx_.cache = cache_ ? &*cache_ : nullptr;
-  ctx_.backend = cfg_.backend;
   ctx_.store_dir = cfg_.store_dir;
   ctx_.manifest_dir = cfg_.manifest_dir;
   workers_.reserve(cfg_.concurrency);
@@ -355,7 +353,7 @@ obs::Json Server::stats() const {
   obs::Json doc;
   doc["schema"] = kAdminProtocolVersion;
   doc["protocol"] = kProtocolVersion;
-  doc["backend"] = cfg_.backend;
+  doc["backend"] = sim::selected_backend().name();
   doc["concurrency"] = static_cast<std::int64_t>(cfg_.concurrency);
   doc["store_enabled"] = cache_.has_value();
 

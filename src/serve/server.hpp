@@ -50,10 +50,6 @@ struct ServerConfig {
   std::string store_dir;
   /// Per-request manifest output directory; empty = none.
   std::string manifest_dir;
-  /// Backend name recorded in manifests (select_backend() is the caller's
-  /// job, once, at startup). Empty = resolve to the process-wide selection
-  /// (sim::selected_backend()) at Server construction.
-  std::string backend;
   /// Invoked (on the submitting thread) when a shutdown request arrives, so
   /// the daemon can kick its own graceful-exit path. May be empty.
   std::function<void()> shutdown_hook;

@@ -1,34 +1,13 @@
 #include "serve/socket_io.hpp"
 
-#ifndef _WIN32
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#endif
 
 namespace pdf::serve {
-
-#ifdef _WIN32
-
-bool sockets_supported() { return false; }
-int listen_unix(const std::string&, int, std::string* err) {
-  if (err) *err = "unix sockets unavailable on this platform";
-  return -1;
-}
-int connect_unix(const std::string&, std::string* err) {
-  if (err) *err = "unix sockets unavailable on this platform";
-  return -1;
-}
-int accept_connection(int) { return -1; }
-bool write_all(int, std::string_view) { return false; }
-bool LineReader::read_line(std::string*) { return false; }
-void close_fd(int) {}
-void shutdown_fd(int) {}
-
-#else
 
 namespace {
 
@@ -49,8 +28,6 @@ std::string errno_message(const char* what) {
 }
 
 }  // namespace
-
-bool sockets_supported() { return true; }
 
 int listen_unix(const std::string& path, int backlog, std::string* err) {
   sockaddr_un addr;
@@ -147,7 +124,5 @@ void close_fd(int fd) {
 void shutdown_fd(int fd) {
   if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
 }
-
-#endif  // _WIN32
 
 }  // namespace pdf::serve

@@ -1,15 +1,12 @@
 // Minimal Unix-domain stream-socket helpers shared by the pdf_serve daemon
-// and the pdf_load client. POSIX-only (the daemon is gated out of Windows
-// builds); every function reports failure by return value, never by abort.
+// and the pdf_load client. POSIX-only, like the rest of the library; every
+// function reports failure by return value, never by abort.
 #pragma once
 
 #include <string>
 #include <string_view>
 
 namespace pdf::serve {
-
-/// True when this build has socket support (POSIX).
-bool sockets_supported();
 
 /// Creates, binds and listens on a Unix-domain stream socket at `path`
 /// (unlinking a stale file first). Returns the fd, or -1 with `err`

@@ -1,6 +1,5 @@
 #include "sim/backend.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 #include "sim/cpu_features.hpp"
@@ -26,46 +25,15 @@ const std::vector<SimBackend*>& registry() {
   return backends;
 }
 
-// The default is the widest registered backend (registration order ascends
-// in width): every backend is bit-identical (enforced by pdf_check and
-// test_backend), so the only difference is throughput, and wider wins on the
-// batched workloads behind BatchSimulator. Opting down to scalar or bitpar
-// is the explicit move.
-SimBackend*& selected_slot() {
-  static SimBackend* selected = registry().back();
-  return selected;
-}
-
 }  // namespace
 
 std::span<SimBackend* const> all_backends() { return registry(); }
 
-SimBackend* find_backend(std::string_view name) {
-  for (SimBackend* b : all_backends()) {
-    if (name == b->name()) return b;
-  }
-  return nullptr;
-}
-
-std::string backend_names() {
-  std::string out;
-  for (SimBackend* b : all_backends()) {
-    if (!out.empty()) out += ", ";
-    out += b->name();
-  }
-  return out;
-}
-
-SimBackend& selected_backend() { return *selected_slot(); }
-
-void select_backend(std::string_view name) {
-  SimBackend* b = find_backend(name);
-  if (b == nullptr) {
-    throw std::invalid_argument("unknown simulation backend '" +
-                                std::string(name) + "' (available: " +
-                                backend_names() + ")");
-  }
-  selected_slot() = b;
-}
+// The default is the widest registered backend (registration order ascends
+// in width): every backend is bit-identical (enforced by pdf_check and
+// test_backend), so the only difference is throughput, and wider wins on the
+// batched workloads behind BatchSimulator. Callers that need a narrower one
+// pin it through BatchSimulator's explicit-backend argument.
+SimBackend& selected_backend() { return *registry().back(); }
 
 }  // namespace pdf::sim

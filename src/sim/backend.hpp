@@ -25,20 +25,19 @@
 // Backends are stateless singletons apart from their scratch arenas (which
 // follow the runtime::PerWorker sharing contract: one external thread plus
 // the global pool's workers). `selected_backend()` is the process-wide
-// default used when a caller doesn't pin one explicitly — set it once at
-// startup (`--backend` in the bench drivers and pdf_check), not mid-run.
+// default used when a caller doesn't pin one explicitly; this module alone
+// picks it, from the host's ISA, and nothing else can change it.
 //
 // Registration is capability-gated: the wide SIMD backends (avx2: 256
 // tests/word, avx512: 512 tests/word) are always compiled in — their TUs
 // carry the matching -m flags — but only appear in all_backends() when the
 // host CPU supports the ISA (sim/cpu_features.hpp; cap with PDF_SIMD). The
-// default selection is the widest registered packed backend, so a
-// rebuilt binary automatically uses the fastest safe engine on each host.
+// default is the widest registered packed backend, so a rebuilt binary
+// automatically uses the fastest safe engine on each host; PDF_SIMD is the
+// one setting, and it works by modelling a smaller host.
 #pragma once
 
 #include <span>
-#include <string>
-#include <string_view>
 
 #include "atpg/test_pattern.hpp"
 #include "core/compiled_circuit.hpp"
@@ -52,8 +51,8 @@ class SimBackend {
  public:
   virtual ~SimBackend() = default;
 
-  /// Stable identifier ("scalar", "bitpar", ...): the `--backend` value, the
-  /// metric-name component and the manifest entry.
+  /// Stable identifier ("scalar", "bitpar", ...): the metric-name component
+  /// and the manifest entry.
   virtual const char* name() const = 0;
 
   /// Tests simulated per packed word (1 scalar, 64 bitpar, 256 avx2, 512
@@ -94,7 +93,7 @@ SimBackend& bitpar_backend();
 
 /// The 256-tests/word AVX2 instantiation of the wide kernel. The accessor's
 /// TU is compiled with -mavx2: call only when simd_level() >= kAvx2 (the
-/// registry does; everyone else should go through find_backend()).
+/// registry does; everyone else should go through all_backends()).
 SimBackend& avx2_backend();
 
 /// The 512-tests/word AVX-512 instantiation. TU compiled with -mavx512f:
@@ -105,20 +104,10 @@ SimBackend& avx512_backend();
 /// whichever wide backends the host CPU supports, ascending width).
 std::span<SimBackend* const> all_backends();
 
-/// Lookup by name(); nullptr when unknown.
-SimBackend* find_backend(std::string_view name);
-
-/// Comma-separated list of registered backend names (for error messages).
-std::string backend_names();
-
 /// The process-wide default backend: the widest registered packed backend
-/// (avx512 > avx2 > bitpar; never scalar) unless
-/// select_backend() changed it. Engines that don't take an explicit backend
-/// use this one. Identical result bytes either way — only speed varies.
+/// (avx512 > avx2 > bitpar; never scalar), i.e. all_backends().back().
+/// Engines that don't take an explicit backend use this one. Identical
+/// result bytes whichever it is — only speed varies.
 SimBackend& selected_backend();
-
-/// Sets the process-wide default. Throws std::invalid_argument on an unknown
-/// name. Call at startup, before engines capture the selection.
-void select_backend(std::string_view name);
 
 }  // namespace pdf::sim

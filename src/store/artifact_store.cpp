@@ -8,13 +8,9 @@
 #include "runtime/metrics.hpp"
 #include "store/hash.hpp"
 
-#if defined(_WIN32)
-#include <fstream>
-#else
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 namespace pdf::store {
 namespace fs = std::filesystem;
@@ -98,16 +94,11 @@ std::string key_hex(std::uint64_t key) {
 /// writers (threads or processes) in one directory never collide.
 std::string temp_suffix() {
   static std::atomic<std::uint64_t> counter{0};
-#if defined(_WIN32)
-  const unsigned long pid = 0;
-#else
   const unsigned long pid = static_cast<unsigned long>(::getpid());
-#endif
   return ".tmp-" + std::to_string(pid) + "-" +
          std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
 }
 
-#if !defined(_WIN32)
 bool write_file_durable(const fs::path& path, const std::uint8_t* header,
                         std::size_t header_size,
                         std::span<const std::byte> payload) {
@@ -132,30 +123,40 @@ bool write_file_durable(const fs::path& path, const std::uint8_t* header,
   ok = (::close(fd) == 0) && ok;
   return ok;
 }
-#else
-bool write_file_durable(const fs::path& path, const std::uint8_t* header,
-                        std::size_t header_size,
-                        std::span<const std::byte> payload) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(reinterpret_cast<const char*>(header),
-            static_cast<std::streamsize>(header_size));
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-  out.flush();
-  return static_cast<bool>(out);
+
+/// Reads exactly `len` bytes; false on error or a short file.
+bool read_exact(int fd, void* data, std::size_t len) {
+  auto* p = static_cast<char*>(data);
+  while (len > 0) {
+    const ::ssize_t n = ::read(fd, p, len);
+    if (n <= 0) return false;
+    p += n;
+    len -= static_cast<std::size_t>(n);
+  }
+  return true;
 }
-#endif
+
+/// Owns a read-only file descriptor; fd < 0 when the open failed.
+struct ReadFd {
+  explicit ReadFd(const fs::path& path)
+      : fd(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {}
+  ~ReadFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  ReadFd(const ReadFd&) = delete;
+  ReadFd& operator=(const ReadFd&) = delete;
+  int fd;
+};
+
+/// Moves a corrupt record out of its slot (to `<name>.corrupt`), so the
+/// slot heals by recomputation.
+void quarantine(const fs::path& path) {
+  std::error_code ec;
+  fs::rename(path, path.string() + ".corrupt", ec);
+  if (ec) fs::remove(path, ec);  // last resort: clear the bad slot
+}
 
 }  // namespace
-
-struct ArtifactStore::Header {
-  std::uint16_t container_version = 0;
-  std::uint16_t kind_version = 0;
-  std::uint64_t key = 0;
-  std::uint64_t payload_size = 0;
-  std::uint64_t payload_hash = 0;
-};
 
 // ---- ArtifactStore ----------------------------------------------------------
 
@@ -196,109 +197,56 @@ bool ArtifactStore::put(const ArtifactKey& key, std::uint16_t kind_version,
   return true;
 }
 
-std::optional<ArtifactStore::Header> ArtifactStore::load_header(
-    const fs::path& path, const ArtifactKey& key, std::uint16_t kind_version,
-    std::span<const std::byte> file_bytes) {
-  const auto fail = [&]() -> std::optional<Header> {
-    corrupt_counter().add();
-    quarantine(path);
-    return std::nullopt;
-  };
-  if (file_bytes.size() < kHeaderSize) return fail();
-  const auto* h = reinterpret_cast<const std::uint8_t*>(file_bytes.data());
-  if (std::memcmp(h, kMagic, 4) != 0) return fail();
-  Header out;
-  out.container_version = get_u16le(h + 4);
-  out.kind_version = get_u16le(h + 6);
-  out.key = get_u64le(h + 8);
-  out.payload_size = get_u64le(h + 16);
-  out.payload_hash = get_u64le(h + 24);
-  // A version difference is not corruption (a different build wrote it), but
-  // the key is derived from the versions, so a mismatch here means the file
-  // content does not match its address: quarantine.
-  if (out.container_version != kContainerVersion ||
-      out.kind_version != kind_version || out.key != key.key) {
-    return fail();
-  }
-  if (out.payload_size != file_bytes.size() - kHeaderSize) {
-    return fail();
-  }
-  const std::span<const std::byte> payload =
-      file_bytes.subspan(kHeaderSize);
-  if (xxh64(payload.data(), payload.size()) != out.payload_hash) return fail();
-  return out;
-}
-
-void ArtifactStore::quarantine(const fs::path& path) {
-  std::error_code ec;
-  fs::rename(path, path.string() + ".corrupt", ec);
-  if (ec) fs::remove(path, ec);  // last resort: clear the bad slot
-}
-
 std::optional<std::vector<std::byte>> ArtifactStore::get(
     const ArtifactKey& key, std::uint16_t kind_version) {
   const auto read_scope = read_timer().measure();
   const std::uint64_t t0 = now_ns();
   const fs::path path = path_of(key);
-
-  std::vector<std::byte> bytes;
-  {
-#if !defined(_WIN32)
-    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) {
-      misses_counter().add();
-      return std::nullopt;
-    }
-    struct ::stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      misses_counter().add();
-      return std::nullopt;
-    }
-    bytes.resize(static_cast<std::size_t>(st.st_size));
-    std::size_t off = 0;
-    bool ok = true;
-    while (off < bytes.size()) {
-      const ::ssize_t n =
-          ::read(fd, bytes.data() + off, bytes.size() - off);
-      if (n <= 0) {
-        ok = false;
-        break;
-      }
-      off += static_cast<std::size_t>(n);
-    }
-    ::close(fd);
-    if (!ok) {
-      misses_counter().add();
-      return std::nullopt;
-    }
-#else
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-      misses_counter().add();
-      return std::nullopt;
-    }
-    bytes.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-    if (!in) {
-      misses_counter().add();
-      return std::nullopt;
-    }
-#endif
-  }
-
-  if (!load_header(path, key, kind_version, bytes)) {
+  // An I/O failure is a plain miss; a record that does not verify is also
+  // counted as corrupt and quarantined.
+  const auto miss = [] {
     misses_counter().add();
     return std::nullopt;
+  };
+  const auto corrupt = [&] {
+    corrupt_counter().add();
+    quarantine(path);
+    return miss();
+  };
+
+  const ReadFd file(path);
+  if (file.fd < 0) return miss();
+  struct ::stat st {};
+  if (::fstat(file.fd, &st) != 0) return miss();
+  const auto file_size = static_cast<std::uint64_t>(st.st_size);
+  if (file_size < kHeaderSize) return corrupt();
+
+  std::uint8_t header[kHeaderSize];
+  if (!read_exact(file.fd, header, sizeof header)) return miss();
+  if (std::memcmp(header, kMagic, 4) != 0) return corrupt();
+  // A version difference is not corruption (a different build wrote it), but
+  // the key is derived from the versions, so a mismatch here means the file
+  // content does not match its address: quarantine.
+  if (get_u16le(header + 4) != kContainerVersion ||
+      get_u16le(header + 6) != kind_version ||
+      get_u64le(header + 8) != key.key) {
+    return corrupt();
+  }
+  // The size field is checked against the file before anything is
+  // allocated, so a corrupt header can never ask for more than the file has.
+  const std::uint64_t payload_size = get_u64le(header + 16);
+  if (payload_size != file_size - kHeaderSize) return corrupt();
+
+  std::vector<std::byte> payload(payload_size);
+  if (!read_exact(file.fd, payload.data(), payload.size())) return miss();
+  if (xxh64(payload.data(), payload.size()) != get_u64le(header + 24)) {
+    return corrupt();
   }
   hits_counter().add();
-  bytes_read_counter().add(bytes.size());
-  record_bytes_hist().record(bytes.size());
+  bytes_read_counter().add(file_size);
+  record_bytes_hist().record(file_size);
   hit_ns_hist().record(now_ns() - t0);
-  bytes.erase(bytes.begin(), bytes.begin() + kHeaderSize);
-  return bytes;
+  return payload;
 }
 
 }  // namespace pdf::store

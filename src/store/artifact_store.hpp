@@ -67,15 +67,6 @@ class ArtifactStore {
   std::filesystem::path path_of(const ArtifactKey& key) const;
 
  private:
-  struct Header;
-  /// Reads + verifies the header against key/version/file size; on any
-  /// mismatch quarantines and returns nullopt.
-  std::optional<Header> load_header(const std::filesystem::path& path,
-                                    const ArtifactKey& key,
-                                    std::uint16_t kind_version,
-                                    std::span<const std::byte> file_bytes);
-  void quarantine(const std::filesystem::path& path);
-
   std::filesystem::path root_;
 };
 

@@ -296,42 +296,6 @@ void encode(ByteWriter& w, const Netlist& nl) {
   }
 }
 
-Netlist decode_netlist(ByteReader& r) {
-  Netlist nl(r.str());
-  const std::uint64_t count = r.length(r.u64());
-  std::vector<NodeId> output_ids;
-  for (std::uint64_t id = 0; id < count; ++id) {
-    const std::string name = r.str();
-    const std::uint8_t type_byte = r.u8();
-    if (type_byte > static_cast<std::uint8_t>(GateType::Dff)) {
-      throw SerdeError("invalid gate type byte");
-    }
-    const auto type = static_cast<GateType>(type_byte);
-    const std::uint64_t fanin_count = r.length(r.u64(), sizeof(NodeId));
-    std::vector<NodeId> fanin;
-    fanin.reserve(fanin_count);
-    for (std::uint64_t i = 0; i < fanin_count; ++i) {
-      const NodeId f = r.u32();
-      if (f >= count) throw SerdeError("fanin id out of range");
-      fanin.push_back(f);
-    }
-    NodeId got;
-    if (type == GateType::Input) {
-      if (!fanin.empty()) throw SerdeError("input node with fanin");
-      got = nl.add_input(name);
-    } else {
-      // Placeholder + set_fanin tolerates forward references (DFF loops).
-      got = nl.add_gate_placeholder(name, type);
-      nl.set_fanin(got, std::move(fanin));
-    }
-    if (got != id) throw SerdeError("node id mismatch while decoding netlist");
-    if (r.boolean()) output_ids.push_back(got);
-  }
-  for (const NodeId id : output_ids) nl.mark_output(id);
-  nl.finalize();
-  return nl;
-}
-
 // ---- detection matrix -------------------------------------------------------
 
 void encode(ByteWriter& w, const DetectionMatrix& m) {
@@ -400,7 +364,10 @@ std::uint64_t digest(const GeneratorConfig& cfg) {
   h.update_u64(cfg.seed);
   h.update_u32(static_cast<std::uint32_t>(cfg.justify.max_attempts));
   h.update_u8(cfg.justify.use_implication_seed ? 1 : 0);
-  h.update_u8(cfg.shuffle_arbitrary ? 1 : 0);
+  // The byte of the Arbitrary-shuffle switch, which was always on; the
+  // shuffle is now unconditional, and hashing the constant keeps every
+  // GeneratorConfig key unchanged.
+  h.update_u8(1);
   h.update_u64(cfg.max_consecutive_secondary_failures);
   h.update_u8(cfg.use_branch_and_bound ? 1 : 0);
   h.update_u64(cfg.bnb.max_backtracks);

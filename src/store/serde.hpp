@@ -184,10 +184,9 @@ GenerationResult decode_generation_result(ByteReader& r);
 void encode(ByteWriter& w, const UnionCoverage& c);
 UnionCoverage decode_union_coverage(ByteReader& r);
 
-/// Full structural encoding including names, so digest(netlist) keys the
-/// store and decode rebuilds an identical finalized netlist.
+/// Full structural encoding including names. Never stored as a record:
+/// digest(netlist) hashes these bytes into store keys.
 void encode(ByteWriter& w, const Netlist& nl);
-Netlist decode_netlist(ByteReader& r);
 
 /// DetectionMatrix payload: three u64 header words (faults, tests, words
 /// per row), then the row-major words.
@@ -236,26 +235,6 @@ struct Serde<DetectionMatrix> {
   static void put(ByteWriter& w, const DetectionMatrix& v) { encode(w, v); }
   static DetectionMatrix get(ByteReader& r) {
     return decode_detection_matrix(r);
-  }
-};
-
-template <>
-struct Serde<Netlist> {
-  static constexpr std::string_view kind = "netlist";
-  static constexpr std::uint16_t version = 1;
-  static void put(ByteWriter& w, const Netlist& v) { encode(w, v); }
-  static Netlist get(ByteReader& r) { return decode_netlist(r); }
-};
-
-template <>
-struct Serde<std::vector<TwoPatternTest>> {
-  static constexpr std::string_view kind = "test_set";
-  static constexpr std::uint16_t version = 1;
-  static void put(ByteWriter& w, const std::vector<TwoPatternTest>& v) {
-    encode(w, std::span<const TwoPatternTest>(v));
-  }
-  static std::vector<TwoPatternTest> get(ByteReader& r) {
-    return decode_tests(r);
   }
 };
 

@@ -6,18 +6,17 @@
 // backend is a gtest parameter, so a new registration inherits the whole
 // battery with zero test edits and failures name the backend directly.
 //
-// The PDF_BACKEND environment variable selects the process-wide default
-// backend before main() runs (src/testutil/backend_env.hpp), so CI can run
-// the *entire* test binary once per backend (matrix job) — every test that
-// builds a BatchSimulator without naming a backend then exercises the
-// selected one.
+// Every test that builds a BatchSimulator without naming a backend runs the
+// host's default, sim::selected_backend(). CI runs the whole test binary
+// once per PDF_SIMD cap (none, avx2, native), so each packed width is the
+// default in one leg.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <ostream>
-#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "base/rng.hpp"
@@ -31,7 +30,6 @@
 #include "sim/backend.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/triple_sim.hpp"
-#include "testutil/backend_env.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf::sim {
@@ -48,15 +46,19 @@ void PrintTo(SimBackend* backend, std::ostream* os) {
 namespace pdf {
 namespace {
 
-// Restores the process-wide backend selection (and a 1-thread pool) no
-// matter how a test exits, so the PDF_BACKEND choice survives this suite.
-struct SelectionGuard {
-  const sim::SimBackend& entry = sim::selected_backend();
-  ~SelectionGuard() {
-    sim::select_backend(entry.name());
-    runtime::set_global_threads(1);
-  }
+// Restores a 1-thread pool no matter how a test exits.
+struct ThreadGuard {
+  ~ThreadGuard() { runtime::set_global_threads(1); }
 };
+
+// The registered backend called `name`; nullptr when this host (or its
+// PDF_SIMD cap) does not register it.
+sim::SimBackend* registered(std::string_view name) {
+  for (sim::SimBackend* b : sim::all_backends()) {
+    if (name == b->name()) return b;
+  }
+  return nullptr;
+}
 
 /// XOR/XNOR coverage: p = XOR(a, b), q = XNOR(p, c), z = XOR(a, q).
 Netlist xor_circuit() {
@@ -141,73 +143,44 @@ std::vector<sim::SimBackend*> registered_backends() {
 }
 
 TEST(Backend, RegistryOrderAndCapabilityGating) {
-  SelectionGuard guard;
   const auto backends = sim::all_backends();
   ASSERT_GE(backends.size(), 2u);
-  EXPECT_STREQ(backends[0]->name(), "scalar");
-  EXPECT_STREQ(backends[1]->name(), "bitpar");
-  EXPECT_EQ(sim::find_backend("scalar"), &sim::scalar_backend());
-  EXPECT_EQ(sim::find_backend("bitpar"), &sim::bitpar_backend());
-  // The fault-parallel backend is gone: its name is unknown, and selecting
-  // it fails with the list of what is available.
-  EXPECT_EQ(sim::find_backend("faultpar"), nullptr);
-  try {
-    sim::select_backend("faultpar");
-    ADD_FAILURE() << "select_backend(\"faultpar\") did not throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find(sim::backend_names()),
-              std::string::npos)
-        << e.what();
-  }
+  EXPECT_EQ(backends[0], &sim::scalar_backend());
+  EXPECT_EQ(backends[1], &sim::bitpar_backend());
+  // The fault-parallel backend is gone: its name is not registered.
+  EXPECT_EQ(registered("faultpar"), nullptr);
   // The wide backends appear exactly when the (PDF_SIMD-capped) capability
   // probe allows: unsupported hosts must degrade to an unregistered name,
   // never to a registered-but-crashing backend.
   const sim::SimdLevel level = sim::simd_level();
-  EXPECT_EQ(sim::find_backend("avx2") != nullptr,
-            level >= sim::SimdLevel::kAvx2);
-  EXPECT_EQ(sim::find_backend("avx512") != nullptr,
+  EXPECT_EQ(registered("avx2") != nullptr, level >= sim::SimdLevel::kAvx2);
+  EXPECT_EQ(registered("avx512") != nullptr,
             level >= sim::SimdLevel::kAvx512);
-  for (sim::SimBackend* b : backends) {
-    EXPECT_NE(sim::backend_names().find(b->name()), std::string::npos);
-  }
 }
 
 TEST(Backend, LanesMatchAdvertisedWidths) {
   EXPECT_EQ(sim::scalar_backend().lanes(), 1u);
   EXPECT_EQ(sim::bitpar_backend().lanes(), 64u);
-  if (sim::SimBackend* b = sim::find_backend("avx2")) {
+  if (sim::SimBackend* b = registered("avx2")) {
     EXPECT_EQ(b->lanes(), 256u);
   }
-  if (sim::SimBackend* b = sim::find_backend("avx512")) {
+  if (sim::SimBackend* b = registered("avx512")) {
     EXPECT_EQ(b->lanes(), 512u);
   }
 }
 
 TEST(Backend, DefaultSelectionIsWidestTestParallel) {
-  if (std::getenv("PDF_BACKEND") != nullptr) {
-    GTEST_SKIP() << "PDF_BACKEND overrides the default selection";
-  }
-  // The startup default is the widest registered packed backend — never
-  // scalar.
+  // The default is the widest registered packed backend — never scalar —
+  // and a BatchSimulator built without a backend runs it.
   std::size_t widest = 0;
   for (sim::SimBackend* b : sim::all_backends()) {
     widest = std::max(widest, b->lanes());
   }
   EXPECT_EQ(sim::selected_backend().lanes(), widest);
+  EXPECT_EQ(&sim::selected_backend(), sim::all_backends().back());
   EXPECT_NE(&sim::selected_backend(), &sim::scalar_backend());
-}
-
-TEST(Backend, SelectionRoundTripsAndRejectsUnknownNames) {
-  SelectionGuard guard;
-  EXPECT_EQ(sim::find_backend("no_such_backend"), nullptr);
-  EXPECT_THROW(sim::select_backend("no_such_backend"), std::invalid_argument);
-  for (sim::SimBackend* b : sim::all_backends()) {
-    sim::select_backend(b->name());
-    EXPECT_EQ(&sim::selected_backend(), b);
-    // A null backend argument means "whatever is selected right now".
-    const Netlist nl = testutil::tiny_and_or();
-    EXPECT_EQ(&BatchSimulator(nl).backend(), b);
-  }
+  const Netlist nl = testutil::tiny_and_or();
+  EXPECT_EQ(&BatchSimulator(nl).backend(), &sim::selected_backend());
 }
 
 class BackendP : public ::testing::TestWithParam<sim::SimBackend*> {};
@@ -262,7 +235,7 @@ TEST_P(BackendP, MatchesOracleOnPathFaults) {
 }
 
 TEST_P(BackendP, MatricesIdenticalAcrossThreadCounts) {
-  SelectionGuard guard;
+  ThreadGuard guard;
   sim::SimBackend* backend = GetParam();
   Rng rng(77);
   const Netlist nl = testutil::random_small_netlist(rng);

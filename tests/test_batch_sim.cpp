@@ -9,7 +9,6 @@
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/triple_sim.hpp"
-#include "testutil/backend_env.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {

@@ -16,7 +16,6 @@
 #include "paths/line_cover.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/triple_sim.hpp"
-#include "testutil/backend_env.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {

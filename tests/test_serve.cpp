@@ -30,6 +30,7 @@
 #include "serve/protocol.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/server.hpp"
+#include "sim/backend.hpp"
 
 namespace pdf {
 namespace {
@@ -219,8 +220,8 @@ TEST(RequestQueueTest, AdmissionControlAndDrain) {
 TEST(ServeJobTest, WarmCacheResultIsByteIdenticalToCold) {
   TempDir dir;
   store::StageCache cache(dir.path);
-  serve::JobContext cached{&cache, "bitpar", dir.path.string(), ""};
-  const serve::JobContext uncached{nullptr, "bitpar", "", ""};
+  serve::JobContext cached{&cache, dir.path.string(), ""};
+  const serve::JobContext uncached{};
 
   const serve::Request req = small_job(1);
   const serve::Response plain = serve::run_job(req, uncached);
@@ -240,7 +241,7 @@ TEST(ServeJobTest, WarmCacheResultIsByteIdenticalToCold) {
 }
 
 TEST(ServeJobTest, InlineBenchAndFailureTaxonomy) {
-  const serve::JobContext ctx{nullptr, "bitpar", "", ""};
+  const serve::JobContext ctx{};
 
   serve::Request inline_req;
   inline_req.id = 5;
@@ -268,7 +269,7 @@ TEST(ServeJobTest, InlineBenchAndFailureTaxonomy) {
 }
 
 TEST(ServeJobTest, WantTestsAttachesPatterns) {
-  const serve::JobContext ctx{nullptr, "bitpar", "", ""};
+  const serve::JobContext ctx{};
   serve::Request req = small_job(2);
   req.want_tests = true;
   const serve::Response resp = serve::run_job(req, ctx);
@@ -301,7 +302,7 @@ TEST(ServeServerTest, ConcurrentJobsMatchDirectExecution) {
   }
   const auto responses = collector.wait_for(kJobs);
 
-  const serve::JobContext uncached{nullptr, "bitpar", "", ""};
+  const serve::JobContext uncached{};
   std::set<std::int64_t> ids;
   for (const auto& resp : responses) {
     ASSERT_EQ(resp.status, serve::Status::Ok) << resp.error.message;
@@ -475,7 +476,7 @@ TEST(ServeServerTest, AdminQueriesDoNotPerturbResultBytes) {
   stop.store(true, std::memory_order_release);
   admin.join();
 
-  const serve::JobContext uncached{nullptr, "bitpar", "", ""};
+  const serve::JobContext uncached{};
   for (const auto& resp : responses) {
     ASSERT_EQ(resp.status, serve::Status::Ok) << resp.error.message;
     const serve::Request ref =
@@ -622,7 +623,6 @@ TEST(ServeServerTest, ConcurrentSessionsEmitOneManifestPerRequest) {
   cfg.queue_depth = 32;
   cfg.store_dir = store_dir.path.string();
   cfg.manifest_dir = manifest_dir.path.string();
-  cfg.backend = "bitpar";
   serve::Server server(cfg);
 
   Collector collector;
@@ -634,12 +634,14 @@ TEST(ServeServerTest, ConcurrentSessionsEmitOneManifestPerRequest) {
   }
   const auto responses = collector.wait_for(kJobs);
 
+  // Manifests label every job with the host's default backend.
+  const std::string backend = sim::selected_backend().name();
   for (const auto& resp : responses) {
     ASSERT_EQ(resp.status, serve::Status::Ok) << resp.error.message;
-    // The inline manifest is present and carries the per-request backend.
+    // The inline manifest is present and carries the backend label.
     ASSERT_FALSE(resp.manifest.is_null());
     EXPECT_EQ(resp.manifest.at("schema").as_string(), "pdf.run_manifest/1");
-    EXPECT_EQ(resp.manifest.at("params").at("backend").as_string(), "bitpar");
+    EXPECT_EQ(resp.manifest.at("params").at("backend").as_string(), backend);
   }
 
   // Exactly one manifest file per request, each a complete JSON document —
@@ -657,7 +659,7 @@ TEST(ServeServerTest, ConcurrentSessionsEmitOneManifestPerRequest) {
     buf << in.rdbuf();
     const obs::Json doc = obs::Json::parse(buf.str());  // throws if torn
     EXPECT_EQ(doc.at("schema").as_string(), "pdf.run_manifest/1");
-    EXPECT_EQ(doc.at("params").at("backend").as_string(), "bitpar");
+    EXPECT_EQ(doc.at("params").at("backend").as_string(), backend);
     EXPECT_EQ(doc.at("bench").as_string(), "pdf_serve");
   }
   EXPECT_EQ(names.size(), static_cast<std::size_t>(kJobs));

@@ -755,7 +755,7 @@ std::optional<std::string> check_faultsim(const Netlist& nl, std::uint64_t seed)
 
   const auto tests = random_tests(nl, mix(seed, 0xf5), 10);
   // The per-test engine, OR-accumulated over the set, and the whole-set
-  // engine on the selected backend (--backend).
+  // engine on the host's default backend.
   const std::vector<bool> scalar =
       testutil::detected_by_any(FaultSimulator(nl), tests, targets);
   const BatchSimulator psim(nl);

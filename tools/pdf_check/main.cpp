@@ -7,13 +7,15 @@
 // to a near-minimal netlist and written to a repro file that --replay reruns.
 //
 //   pdf_check [--cases N] [--seed S | --seed from-git-sha] [--threads N]
-//             [--backend NAME] [--check NAME] [--repro FILE] [--replay FILE]
+//             [--check NAME] [--repro FILE] [--replay FILE]
 //             [--list-checks] [--list-backends] [--verbose]
 //
-// `--list-backends` prints one registered backend name per line and exits —
-// the capability probe CI uses to decide which PDF_BACKEND/--backend matrix
-// legs this host can run (wide SIMD backends only register on capable CPUs;
-// see src/sim/cpu_features.hpp).
+// Engines that don't pin a backend run the host's default, the widest
+// registered one (cap it with PDF_SIMD); `backends_agree` pins every
+// registered backend in turn. `--list-backends` prints one registered
+// backend name per line, widest last, and exits — the capability probe CI
+// uses to decide which PDF_SIMD matrix legs this host can run (wide SIMD
+// backends only register on capable CPUs; see src/sim/cpu_features.hpp).
 //
 // Exit status: 0 clean, 1 check failure (repro written), 2 usage/setup error.
 #include <charconv>
@@ -52,10 +54,9 @@ struct Options {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--cases N] [--seed S|from-git-sha] [--threads N]\n"
-               "          [--backend %s] [--check NAME] [--repro FILE]\n"
-               "          [--replay FILE] [--list-checks] [--list-backends]\n"
-               "          [--verbose]\n",
-               argv0, pdf::sim::backend_names().c_str());
+               "          [--check NAME] [--repro FILE] [--replay FILE]\n"
+               "          [--list-checks] [--list-backends] [--verbose]\n",
+               argv0);
   std::exit(2);
 }
 
@@ -109,13 +110,6 @@ Options parse_options(int argc, char** argv) {
       }
     } else if (arg == "--threads") {
       o.threads = number();
-    } else if (arg == "--backend") {
-      try {
-        pdf::sim::select_backend(value());
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "pdf_check: %s\n", e.what());
-        std::exit(2);
-      }
     } else if (arg == "--check") {
       o.only_check = value();
     } else if (arg == "--repro") {

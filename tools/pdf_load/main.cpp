@@ -36,7 +36,6 @@
 #include "serve/job.hpp"
 #include "serve/protocol.hpp"
 #include "serve/socket_io.hpp"
-#include "sim/backend.hpp"
 
 namespace {
 
@@ -298,8 +297,7 @@ void stats_poller(const Flags& flags, std::atomic<bool>* stop) {
 /// Recomputes each distinct job in-process (no cache) and compares result
 /// bytes. Distinct jobs are memoized locally so hot duplicates verify once.
 std::size_t verify_results(const Flags& flags, const Results& results) {
-  serve::JobContext ctx;
-  ctx.backend = sim::selected_backend().name();
+  const serve::JobContext ctx{};
   std::map<std::string, std::string> expected;  // request line -> result bytes
   std::size_t mismatches = 0;
   for (const auto& [j, bytes] : results.result_bytes) {
@@ -323,10 +321,6 @@ std::size_t verify_results(const Flags& flags, const Results& results) {
 
 int main(int argc, char** argv) {
   const Flags flags = parse_flags(argc, argv);
-  if (!serve::sockets_supported()) {
-    std::fprintf(stderr, "pdf_load: no socket support on this platform\n");
-    return 2;
-  }
 
   Results results;
   std::atomic<bool> stop_poller{false};

@@ -8,7 +8,7 @@
 // and their responses flush before the process exits 0.
 //
 //   pdf_serve --socket /tmp/pdf.sock [--concurrency N] [--queue-depth N]
-//             [--threads N] [--backend NAME] [--store DIR]
+//             [--threads N] [--store DIR]
 //             [--no-store] [--manifest-dir DIR] [--retry-after-ms N]
 //             [--metrics] [--log-level debug|info|warn|error|off]
 //             [--slow-job-ms N]
@@ -57,7 +57,6 @@ struct Flags {
   std::size_t queue_depth = 64;
   std::size_t threads = 1;
   std::uint64_t retry_after_ms = 50;
-  std::string backend;  // empty = the process-wide capability default
   bool use_store = true;
   std::string store_dir = ".artifact-store";
   std::string manifest_dir;
@@ -71,7 +70,7 @@ struct Flags {
   std::fprintf(stderr, "pdf_serve: %s\n", err.c_str());
   std::fprintf(stderr,
                "usage: %s [--socket PATH] [--concurrency N] [--queue-depth N]"
-               " [--threads N] [--backend NAME] [--store DIR | --no-store]"
+               " [--threads N] [--store DIR | --no-store]"
                " [--manifest-dir DIR] [--retry-after-ms N] [--metrics]"
                " [--log-level LEVEL] [--slow-job-ms N] [--once FILE|-]\n",
                argv0);
@@ -96,7 +95,6 @@ Flags parse_flags(int argc, char** argv) {
     else if (a == "--queue-depth") f.queue_depth = number(i), ++i;
     else if (a == "--threads") f.threads = number(i), ++i;
     else if (a == "--retry-after-ms") f.retry_after_ms = number(i), ++i;
-    else if (a == "--backend") f.backend = need(i), ++i;
     else if (a == "--store") f.store_dir = need(i), f.use_store = true, ++i;
     else if (a == "--no-store") f.use_store = false;
     else if (a == "--manifest-dir") f.manifest_dir = need(i), ++i;
@@ -118,9 +116,6 @@ Flags parse_flags(int argc, char** argv) {
     usage(argv[0], "--concurrency and --threads must be at most " +
                        std::to_string(runtime::kMaxThreads));
   }
-  // Without --backend, run (and label manifests/logs with) whatever the
-  // capability dispatch selected for this host.
-  if (f.backend.empty()) f.backend = sim::selected_backend().name();
   return f;
 }
 
@@ -157,7 +152,6 @@ int run_once(const Flags& flags) {
     ctx.cache = &*cache;
     ctx.store_dir = flags.store_dir;
   }
-  ctx.backend = flags.backend;
   ctx.manifest_dir = flags.manifest_dir;
 
   bool all_ok = true;
@@ -267,10 +261,6 @@ void connection_main(std::shared_ptr<Connection> conn, serve::Server* server) {
 }
 
 int run_daemon(const Flags& flags) {
-  if (!serve::sockets_supported()) {
-    std::fprintf(stderr, "pdf_serve: no socket support on this platform\n");
-    return 2;
-  }
   if (::pipe(g_signal_pipe) != 0) {
     std::perror("pdf_serve: pipe");
     return 2;
@@ -292,7 +282,6 @@ int run_daemon(const Flags& flags) {
   cfg.retry_after_ms = flags.retry_after_ms;
   cfg.store_dir = flags.use_store ? flags.store_dir : "";
   cfg.manifest_dir = flags.manifest_dir;
-  cfg.backend = flags.backend;
   cfg.shutdown_hook = [] { on_signal(0); };
   cfg.slow_job_ms = flags.slow_job_ms;
   serve::Server server(cfg);
@@ -301,13 +290,13 @@ int run_daemon(const Flags& flags) {
                "pdf_serve: listening on %s (concurrency %zu, queue %zu, "
                "backend %s, store %s)\n",
                flags.socket_path.c_str(), flags.concurrency, flags.queue_depth,
-               flags.backend.c_str(),
+               sim::selected_backend().name(),
                flags.use_store ? flags.store_dir.c_str() : "off");
   PDF_LOG(Info, "serve.listening")
       .str("socket", flags.socket_path)
       .num("concurrency", static_cast<std::uint64_t>(flags.concurrency))
       .num("queue_depth", static_cast<std::uint64_t>(flags.queue_depth))
-      .str("backend", flags.backend)
+      .str("backend", sim::selected_backend().name())
       .num("slow_job_ms", flags.slow_job_ms)
       .str("log_level", obs::log_level_name(obs::log_level()));
 
@@ -363,11 +352,6 @@ int run_daemon(const Flags& flags) {
 int main(int argc, char** argv) {
   obs::init_log_level_from_env();  // --log-level below overrides
   const Flags flags = parse_flags(argc, argv);
-  try {
-    sim::select_backend(flags.backend);
-  } catch (const std::invalid_argument& e) {
-    usage(argv[0], e.what());
-  }
   runtime::set_global_threads(flags.threads);
   if (flags.once) return run_once(flags);
   return run_daemon(flags);
