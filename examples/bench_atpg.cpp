@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
 
   const Netlist nl =
       circuit.empty()
-          ? decompose_xor(extract_combinational(parse_bench_file(bench_file)).netlist)
+          ? decompose_xor(extract_combinational(parse_bench_file(bench_file)))
           : benchmark_circuit(circuit);
   const NetlistStats st = stats_of(nl);
   const PathCounts pc = count_paths(nl);

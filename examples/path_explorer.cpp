@@ -40,7 +40,7 @@ Netlist load(const std::string& what) {
   if (has_benchmark(what)) return benchmark_circuit(what);
   try {
     const Netlist seq = parse_bench_file(what);
-    return decompose_xor(extract_combinational(seq).netlist);
+    return decompose_xor(extract_combinational(seq));
   } catch (const std::exception& e) {
     usage(what + " is no registry circuit or readable .bench file: " +
           e.what());

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "enrich/enrichment.hpp"
-#include "faultsim/fault_sim.hpp"
+#include "faultsim/batch_sim.hpp"
 #include "gen/registry.hpp"
 #include "netlist/bench_io.hpp"
 #include "netlist/combinational.hpp"
@@ -20,7 +20,7 @@ int main() {
   // s27 ships with the library (it is printed in the paper); any .bench file
   // works the same way via parse_bench_file + extract_combinational.
   const Netlist seq = parse_bench_string(s27_bench_text(), "s27");
-  const Netlist nl = extract_combinational(seq).netlist;
+  const Netlist nl = extract_combinational(seq);
   const NetlistStats st = stats_of(nl);
   std::printf("s27 combinational core: %zu inputs, %zu outputs, %zu gates, "
               "%zu lines, depth %d\n",
@@ -48,20 +48,21 @@ int main() {
   std::printf("  P1 coverage:      %zu / %zu (free)\n", cov.p1_detected,
               cov.p1_total);
 
-  // Show each test and what it detects.
-  FaultSimulator fsim(nl);
+  // Show each test and what it detects: one detection matrix (faults x
+  // tests) per target set.
+  const BatchSimulator sim(nl);
+  const DetectionMatrix d0 = sim.detection_matrix(r.tests, ts.p0);
+  const DetectionMatrix d1 = sim.detection_matrix(r.tests, ts.p1);
   for (std::size_t i = 0; i < r.tests.size(); ++i) {
     std::printf("\ntest %zu: %s\n", i, r.tests[i].patterns_string().c_str());
-    const auto d0 = fsim.detects(r.tests[i], ts.p0);
-    const auto d1 = fsim.detects(r.tests[i], ts.p1);
     for (std::size_t k = 0; k < ts.p0.size(); ++k) {
-      if (d0[k]) {
+      if (d0.bit(k, i)) {
         std::printf("  detects [P0] %s\n",
                     fault_to_string(nl, ts.p0[k].fault).c_str());
       }
     }
     for (std::size_t k = 0; k < ts.p1.size(); ++k) {
-      if (d1[k]) {
+      if (d1.bit(k, i)) {
         std::printf("  detects [P1] %s\n",
                     fault_to_string(nl, ts.p1[k].fault).c_str());
       }

@@ -6,9 +6,9 @@
 #include <stdexcept>
 
 #include "atpg/selection.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "obs/trace.hpp"
 #include "runtime/metrics.hpp"
+#include "sim/triple_sim.hpp"
 
 namespace pdf {
 
@@ -65,7 +65,6 @@ class Generator {
             const GeneratorConfig& cfg)
       : cfg_(cfg),
         engine_(nl, cfg.seed),
-        fsim_(nl),
         union_(nl.node_count()) {
     const bool by_value = cfg.heuristic == CompactionHeuristic::Value;
     sets_.reserve(std::max<std::size_t>(sets.size(), 1));
@@ -248,9 +247,19 @@ class Generator {
     updates_counter.add(set.picker.delta_updates() - updates_before);
   }
 
+  // Marks every fault of every set that `test` robustly detects (§2.1: the
+  // simulated line triples satisfy A(p)), simulating on the justifier's
+  // compiled view. Generated tests already carry pi_triple PI values.
   void drop_detected(const TwoPatternTest& test) {
-    const std::vector<Triple> values = fsim_.line_values(test);
+    const std::span<const Triple> values =
+        simulate(engine_.compiled(), test.pi_values, scratch_);
+#ifdef PATHDELAY_MUTATION_DROP_FIRST_SET_ONLY
+    // Seeded bug (mutation testing only): faults of the secondary sets are
+    // never dropped, so their detection flags miss every test.
+    for (auto& set : std::span(sets_).first(1)) {
+#else
     for (auto& set : sets_) {
+#endif
       for (std::size_t i = 0; i < set.faults.size(); ++i) {
         if (!set.detected[i] && satisfied(values, set.faults[i].requirements)) {
           set.detected[i] = true;
@@ -261,7 +270,7 @@ class Generator {
 
   GeneratorConfig cfg_;
   JustificationEngine engine_;
-  FaultSimulator fsim_;
+  SimScratch scratch_;  // drop_detected's line triples
   std::vector<SetState> sets_;
   RequirementUnion union_;
   GenerationResult result_;

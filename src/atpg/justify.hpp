@@ -168,6 +168,9 @@ class JustificationEngine {
   const JustifyStats& stats() const { return stats_; }
   const BnbStats& bnb_stats() const { return bnb_stats_; }
   Rng& rng() { return rng_; }
+  /// The engine's execution view of the netlist, for callers that simulate
+  /// the tests it returns without compiling a second one.
+  const CompiledCircuit& compiled() const { return cc_; }
 
  private:
   /// A PI pattern bit: input index and plane (0 = first, 2 = second pattern).

@@ -77,9 +77,9 @@ std::vector<EnrichmentWorkbench::SeedRun> EnrichmentWorkbench::run_enriched_swee
 UnionCoverage EnrichmentWorkbench::simulate_union(
     std::span<const TwoPatternTest> tests) const {
   PDF_TRACE_SPAN("enrich.coverage");
-  // Pattern-parallel simulation: identical results to FaultSimulator at a
-  // fraction of the cost for whole test sets. Memoized when a stage cache is
-  // configured.
+  // Pattern-parallel simulation: identical results to one scalar simulation
+  // per test at a fraction of the cost for whole test sets. Memoized when a
+  // stage cache is configured.
   return store::cached_union_coverage(cache_, *nl_, tests, targets_.p0,
                                       targets_.p1, cfg_);
 }

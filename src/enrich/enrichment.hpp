@@ -9,7 +9,6 @@
 
 #include "atpg/generator.hpp"
 #include "enrich/target_sets.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "netlist/netlist.hpp"
 
 namespace pdf {

@@ -6,59 +6,35 @@
 
 namespace pdf {
 
-std::vector<ValueRequirement>::iterator RequirementSet::lower_bound(NodeId line) {
-  return std::lower_bound(
-      items_.begin(), items_.end(), line,
-      [](const ValueRequirement& r, NodeId l) { return r.line < l; });
-}
+namespace {
 
-std::vector<ValueRequirement>::const_iterator RequirementSet::lower_bound(
-    NodeId line) const {
-  return std::lower_bound(
-      items_.begin(), items_.end(), line,
-      [](const ValueRequirement& r, NodeId l) { return r.line < l; });
-}
-
-bool RequirementSet::add(NodeId line, const Triple& value) {
-  auto it = lower_bound(line);
-  if (it != items_.end() && it->line == line) {
-    if (it->value.conflicts_with(value)) return false;
-    it->value = merge(it->value, value);
+// A(p) under construction: requirements sorted by line, merged on add. Paths
+// are short, so binary search + insert is ideal.
+class RequirementSet {
+ public:
+  /// Adds/merges a requirement. Returns false (and leaves the set unchanged)
+  /// if the new value conflicts with the existing requirement on that line.
+  bool add(NodeId line, const Triple& value) {
+    auto it = std::lower_bound(
+        items_.begin(), items_.end(), line,
+        [](const ValueRequirement& r, NodeId l) { return r.line < l; });
+    if (it != items_.end() && it->line == line) {
+      if (it->value.conflicts_with(value)) return false;
+      it->value = merge(it->value, value);
+      return true;
+    }
+    items_.insert(it, ValueRequirement{line, value});
     return true;
   }
-  items_.insert(it, ValueRequirement{line, value});
-  return true;
-}
 
-bool RequirementSet::add_all(std::span<const ValueRequirement> reqs) {
-  // Check first so a failed add leaves the set unchanged.
-  if (would_conflict(reqs)) return false;
-  for (const auto& r : reqs) {
-    const bool ok = add(r.line, r.value);
-    (void)ok;
-  }
-  return true;
-}
+  /// Requirements in ascending line order.
+  std::span<const ValueRequirement> items() const { return items_; }
 
-bool RequirementSet::would_conflict(NodeId line, const Triple& value) const {
-  auto it = lower_bound(line);
-  return it != items_.end() && it->line == line && it->value.conflicts_with(value);
-}
+ private:
+  std::vector<ValueRequirement> items_;
+};
 
-bool RequirementSet::would_conflict(std::span<const ValueRequirement> reqs) const {
-  for (const auto& r : reqs) {
-    if (would_conflict(r.line, r.value)) return true;
-  }
-  return false;
-}
-
-std::optional<Triple> RequirementSet::at(NodeId line) const {
-  auto it = lower_bound(line);
-  if (it == items_.end() || it->line != line) return std::nullopt;
-  return it->value;
-}
-
-void RequirementSet::clear() { items_.clear(); }
+}  // namespace
 
 FaultRequirements build_requirements(const Netlist& nl, const PathDelayFault& f,
                                      Sensitization sens) {

@@ -16,12 +16,11 @@
 //     off-path constraint falling on an on-path line of the same fault — are
 //     detected immediately).
 //
-// A test t detects {p1..pm} robustly iff it satisfies the union of the A(pi);
-// RequirementSet implements that union with conflict detection (the
-// generator's dense per-test union lives in atpg/selection.hpp).
+// A test t detects {p1..pm} robustly iff it satisfies the union of the A(pi)
+// (the generator's per-test union with conflict detection lives in
+// atpg/selection.hpp).
 #pragma once
 
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -49,33 +48,6 @@ inline bool satisfied(std::span<const Triple> values,
   }
   return true;
 }
-
-/// A set of line-value requirements with merge-on-add semantics.
-class RequirementSet {
- public:
-  /// Adds/merges a requirement. Returns false (and leaves the set unchanged)
-  /// if the new value conflicts with the existing requirement on that line.
-  bool add(NodeId line, const Triple& value);
-  bool add_all(std::span<const ValueRequirement> reqs);
-
-  /// True when `value` on `line` would conflict with this set.
-  bool would_conflict(NodeId line, const Triple& value) const;
-  bool would_conflict(std::span<const ValueRequirement> reqs) const;
-
-  std::optional<Triple> at(NodeId line) const;
-  std::size_t size() const { return items_.size(); }
-  bool empty() const { return items_.empty(); }
-  void clear();
-
-  /// Requirements in ascending line order.
-  std::span<const ValueRequirement> items() const { return items_; }
-
- private:
-  // Sorted by line id; small sets, so binary search + insert is ideal.
-  std::vector<ValueRequirement> items_;
-  std::vector<ValueRequirement>::iterator lower_bound(NodeId line);
-  std::vector<ValueRequirement>::const_iterator lower_bound(NodeId line) const;
-};
 
 /// Sensitization criterion for A(p).
 ///

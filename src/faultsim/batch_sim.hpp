@@ -12,8 +12,8 @@
 // Every backend produces the bit-identical DetectionMatrix for any thread
 // count (see src/sim/backend.hpp and DESIGN.md §11), so results never depend
 // on which backend ran — callers may cache them under backend-free keys
-// (store::cached_detection_matrix does). Per-test scalar queries stay on
-// FaultSimulator, the ATPG inner-loop engine.
+// (store::cached_detection_matrix does). The ATPG inner loop checks one test
+// at a time with the compiled simulate() plus satisfied() instead.
 #pragma once
 
 #include <span>

@@ -56,7 +56,7 @@ struct RegistryEntry {
 
 Netlist make_s27() {
   const Netlist seq = parse_bench_string(kS27Bench, "s27");
-  return extract_combinational(seq).netlist;
+  return extract_combinational(seq);
 }
 
 std::function<Netlist()> random_maker(RandomCircuitConfig cfg) {
@@ -178,8 +178,7 @@ const std::vector<RegistryEntry>& registry() {
 
     r.push_back({{"c17", "c17", "exact ISCAS-85 c17"}, [] {
                    return extract_combinational(
-                              parse_bench_string(kC17Bench, "c17"))
-                       .netlist;
+                       parse_bench_string(kC17Bench, "c17"));
                  }});
     r.push_back({{"rca16", "", "16-bit ripple-carry adder"},
                  [] { return ripple_carry_adder(16, "rca16"); }});

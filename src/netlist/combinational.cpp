@@ -5,22 +5,20 @@
 
 namespace pdf {
 
-CombinationalCircuit extract_combinational(const Netlist& nl) {
+Netlist extract_combinational(const Netlist& nl) {
   if (!nl.finalized()) throw std::logic_error("extract_combinational: not finalized");
 
-  CombinationalCircuit out;
-  out.netlist.set_name(nl.name());
+  Netlist out;
+  out.set_name(nl.name());
   std::unordered_map<NodeId, NodeId> remap;
 
   // Inputs first (preserving order), then DFF outputs as pseudo inputs.
   for (NodeId id : nl.inputs()) {
-    remap[id] = out.netlist.add_input(nl.node(id).name);
+    remap[id] = out.add_input(nl.node(id).name);
   }
   for (NodeId id = 0; id < nl.node_count(); ++id) {
     if (nl.node(id).type == GateType::Dff) {
-      const NodeId nid = out.netlist.add_input(nl.node(id).name);
-      remap[id] = nid;
-      out.pseudo_inputs.push_back(nid);
+      remap[id] = out.add_input(nl.node(id).name);
     }
   }
 
@@ -31,7 +29,7 @@ CombinationalCircuit extract_combinational(const Netlist& nl) {
     std::vector<NodeId> fanin;
     fanin.reserve(n.fanin.size());
     for (NodeId f : n.fanin) fanin.push_back(remap.at(f));
-    remap[id] = out.netlist.add_gate(n.name, n.type, std::move(fanin));
+    remap[id] = out.add_gate(n.name, n.type, std::move(fanin));
   }
 
   // Primary outputs carry over; DFF data fanins become pseudo outputs.
@@ -42,17 +40,15 @@ CombinationalCircuit extract_combinational(const Netlist& nl) {
       // meaningful delay-test output, so it is skipped.
       continue;
     }
-    out.netlist.mark_output(remap.at(id));
+    out.mark_output(remap.at(id));
   }
   for (NodeId id = 0; id < nl.node_count(); ++id) {
     const Node& n = nl.node(id);
     if (n.type != GateType::Dff) continue;
-    const NodeId data = remap.at(n.fanin.at(0));
-    out.netlist.mark_output(data);
-    out.pseudo_outputs.push_back(data);
+    out.mark_output(remap.at(n.fanin.at(0)));
   }
 
-  out.netlist.finalize();
+  out.finalize();
   return out;
 }
 

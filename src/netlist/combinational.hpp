@@ -11,17 +11,10 @@
 
 namespace pdf {
 
-/// Result of extraction, with bookkeeping about which inputs/outputs are
-/// pseudo (state) versus real.
-struct CombinationalCircuit {
-  Netlist netlist;
-  std::vector<NodeId> pseudo_inputs;   // former DFF outputs (ids in `netlist`)
-  std::vector<NodeId> pseudo_outputs;  // former DFF data fanins (ids in `netlist`)
-};
-
-/// Extracts the combinational core. Idempotent for already-combinational
-/// netlists (returns a copy with empty pseudo lists). The returned netlist is
-/// finalized.
-CombinationalCircuit extract_combinational(const Netlist& nl);
+/// Extracts the combinational core: DFF outputs become inputs (after the
+/// real ones) and DFF data fanins become outputs, under their original names.
+/// Idempotent for already-combinational netlists (returns a copy). The
+/// returned netlist is finalized.
+Netlist extract_combinational(const Netlist& nl);
 
 }  // namespace pdf

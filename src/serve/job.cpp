@@ -42,7 +42,7 @@ Netlist resolve_netlist(const Request& req) {
     return benchmark_circuit(req.circuit);
   }
   Netlist nl = parse_bench_string(req.bench_text, "inline");
-  if (nl.has_sequential()) nl = extract_combinational(nl).netlist;
+  if (nl.has_sequential()) nl = extract_combinational(nl);
   return nl;
 }
 

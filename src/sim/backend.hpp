@@ -8,8 +8,8 @@
 //     backend represents them internally (dense Triple arrays, 2-bit planes
 //     packed 64 tests per word, SIMD lanes, ...) is its own business.
 //   * Batching: the backend owns the loop over tests and faults. Callers
-//     hand over whole batches; per-test APIs stay on FaultSimulator, which
-//     remains the scalar single-query engine for ATPG inner loops.
+//     hand over whole batches; the ATPG inner loop checks one test at a
+//     time with the compiled simulate() plus satisfied() instead.
 //   * Determinism: every backend produces the bit-identical DetectionMatrix
 //     for the same (circuit, tests, faults) — independent of backend choice
 //     and of the runtime thread count. pdf_check's `backends_agree` check

@@ -2,11 +2,11 @@
 //
 // This is the reference implementation of the SimBackend contract — one
 // `simulate(cc, pis, scratch)` pass per test, then the same `satisfied`
-// requirement check FaultSimulator uses. It deliberately parallelizes over the
-// same 64-test word columns as the bit-parallel backend (not over individual
-// tests), so the two backends share one parallel decomposition: each task
-// owns a disjoint set of matrix word columns, writes race nothing, and the
-// result is bit-identical at any thread count.
+// requirement check the generator drops faults with. It deliberately
+// parallelizes over the same 64-test word columns as the bit-parallel backend
+// (not over individual tests), so the two backends share one parallel
+// decomposition: each task owns a disjoint set of matrix word columns, writes
+// race nothing, and the result is bit-identical at any thread count.
 #include <algorithm>
 #include <stdexcept>
 #include <vector>

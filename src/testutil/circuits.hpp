@@ -21,9 +21,11 @@
 #include "base/rng.hpp"
 #include "base/triple.hpp"
 #include "atpg/test_pattern.hpp"
-#include "faultsim/fault_sim.hpp"
+#include "core/compiled_circuit.hpp"
+#include "faults/screen.hpp"
 #include "netlist/netlist.hpp"
 #include "paths/path.hpp"
+#include "sim/triple_sim.hpp"
 
 namespace pdf::testutil {
 
@@ -319,16 +321,21 @@ inline void for_each_binary_test(
 
 // ---- per-test detection reference --------------------------------------------
 
-/// Per-fault flags: detected by at least one of `tests`, from one per-test
-/// FaultSimulator query per test. The reference BatchSimulator::detects_any
-/// is compared against.
-inline std::vector<bool> detected_by_any(const FaultSimulator& fsim,
+/// Per-fault flags: detected by at least one of `tests`, from one compiled
+/// simulation per test and the satisfied() check on its line triples: the
+/// scalar path the generator drops detected faults with. BatchSimulator and
+/// the oracle are compared against it.
+inline std::vector<bool> detected_by_any(const Netlist& nl,
                                          std::span<const TwoPatternTest> tests,
                                          std::span<const TargetFault> faults) {
+  const CompiledCircuit cc(nl);
+  SimScratch scratch;
   std::vector<bool> out(faults.size(), false);
   for (const TwoPatternTest& t : tests) {
-    const std::vector<bool> d = fsim.detects(t, faults);
-    for (std::size_t i = 0; i < d.size(); ++i) out[i] = out[i] || d[i];
+    const std::span<const Triple> values = simulate(cc, t.pi_values, scratch);
+    for (std::size_t i = 0; i < faults.size(); ++i) {
+      out[i] = out[i] || satisfied(values, faults[i].requirements);
+    }
   }
   return out;
 }

@@ -1,10 +1,11 @@
 // Parameterized backend conformance suite: every backend registered in
 // sim::all_backends() — scalar, bitpar, and whichever wide SIMD
 // backends the host CPU supports — must agree bit-for-bit with the scalar
-// per-test FaultSimulator and with the brute-force oracle on the shared
-// fixture circuits, at any thread count and at every tail-lane count. Each
-// backend is a gtest parameter, so a new registration inherits the whole
-// battery with zero test edits and failures name the backend directly.
+// per-test simulation (compiled simulate + satisfied) and with the
+// brute-force oracle on the shared fixture circuits, at any thread count and
+// at every tail-lane count. Each backend name compiled into the build is a
+// gtest parameter, so failures name the backend directly; an instance whose
+// backend this host (or its PDF_SIMD cap) does not register reports Skipped.
 //
 // Every test that builds a BatchSimulator without naming a backend runs the
 // host's default, sim::selected_backend(). CI runs the whole test binary
@@ -24,24 +25,12 @@
 #include "faults/requirements.hpp"
 #include "faults/screen.hpp"
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "oracle/oracle.hpp"
 #include "runtime/thread_pool.hpp"
 #include "sim/backend.hpp"
 #include "sim/cpu_features.hpp"
 #include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
-
-namespace pdf::sim {
-
-// gtest prints a pointer parameter as its address, and test discovery puts
-// that printed value into each BackendP test's name. Printing the backend's
-// name instead keeps those names the same from one build or run to the next.
-void PrintTo(SimBackend* backend, std::ostream* os) {
-  *os << (backend != nullptr ? backend->name() : "null");
-}
-
-}  // namespace pdf::sim
 
 namespace pdf {
 namespace {
@@ -137,10 +126,31 @@ PathTargets path_targets(const Netlist& nl) {
   return out;
 }
 
-std::vector<sim::SimBackend*> registered_backends() {
-  const auto span = sim::all_backends();
-  return {span.begin(), span.end()};
-}
+// A BackendP parameter. Test discovery puts the printed parameter into each
+// ctest name, so it prints as the bare backend name.
+struct BackendName {
+  const char* name;
+};
+
+void PrintTo(const BackendName& b, std::ostream* os) { *os << b.name; }
+
+// Every backend compiled into the build. Test discovery runs at build time,
+// so BackendP is instantiated over these names rather than over the
+// registry, and each instance resolves its backend when it runs.
+constexpr BackendName kBackendNames[] = {
+    {"scalar"}, {"bitpar"}, {"avx2"}, {"avx512"}};
+
+class BackendP : public ::testing::TestWithParam<BackendName> {
+ protected:
+  void SetUp() override {
+    backend_ = registered(GetParam().name);
+    if (backend_ == nullptr) {
+      GTEST_SKIP() << GetParam().name << " is not registered on this host";
+    }
+  }
+
+  sim::SimBackend* backend_ = nullptr;
+};
 
 TEST(Backend, RegistryOrderAndCapabilityGating) {
   const auto backends = sim::all_backends();
@@ -156,6 +166,15 @@ TEST(Backend, RegistryOrderAndCapabilityGating) {
   EXPECT_EQ(registered("avx2") != nullptr, level >= sim::SimdLevel::kAvx2);
   EXPECT_EQ(registered("avx512") != nullptr,
             level >= sim::SimdLevel::kAvx512);
+  // BackendP is instantiated over every name that can register.
+  for (sim::SimBackend* b : backends) {
+    const auto listed = [&](BackendName n) {
+      return std::string_view(n.name) == b->name();
+    };
+    EXPECT_TRUE(std::any_of(std::begin(kBackendNames), std::end(kBackendNames),
+                            listed))
+        << b->name();
+  }
 }
 
 TEST(Backend, LanesMatchAdvertisedWidths) {
@@ -183,25 +202,25 @@ TEST(Backend, DefaultSelectionIsWidestTestParallel) {
   EXPECT_EQ(&BatchSimulator(nl).backend(), &sim::selected_backend());
 }
 
-class BackendP : public ::testing::TestWithParam<sim::SimBackend*> {};
-
 INSTANTIATE_TEST_SUITE_P(
-    All, BackendP, ::testing::ValuesIn(registered_backends()),
-    [](const ::testing::TestParamInfo<sim::SimBackend*>& info) {
-      return std::string(info.param->name());
+    All, BackendP, ::testing::ValuesIn(kBackendNames),
+    [](const ::testing::TestParamInfo<BackendName>& info) {
+      return std::string(info.param.name);
     });
 
 TEST_P(BackendP, MatchesScalarSimulatorOnFixtures) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   for (const Netlist& nl : fixtures()) {
     const auto targets = probe_faults(nl);
     const auto tests = random_tests(nl, 0xabc0 + nl.node_count(), 70);
-    const FaultSimulator scalar(nl);
     const BatchSimulator fsim(nl, backend);
     const DetectionMatrix m = fsim.detection_matrix(tests, targets);
-    for (std::size_t f = 0; f < targets.size(); ++f) {
-      for (std::size_t t = 0; t < tests.size(); ++t) {
-        ASSERT_EQ(m.bit(f, t), scalar.detects(tests[t], targets[f]))
+    const CompiledCircuit cc(nl);
+    SimScratch scratch;
+    for (std::size_t t = 0; t < tests.size(); ++t) {
+      const auto values = simulate(cc, tests[t].pi_values, scratch);
+      for (std::size_t f = 0; f < targets.size(); ++f) {
+        ASSERT_EQ(m.bit(f, t), satisfied(values, targets[f].requirements))
             << nl.name() << " backend " << backend->name() << " fault " << f
             << " test " << t;
       }
@@ -210,7 +229,7 @@ TEST_P(BackendP, MatchesScalarSimulatorOnFixtures) {
 }
 
 TEST_P(BackendP, MatchesOracleOnPathFaults) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   for (const Netlist& nl : fixtures()) {
     // build_requirements only walks primitive-logic paths; the XOR fixture
     // is exercised against the scalar simulator in the probe-fault test.
@@ -236,7 +255,7 @@ TEST_P(BackendP, MatchesOracleOnPathFaults) {
 
 TEST_P(BackendP, MatricesIdenticalAcrossThreadCounts) {
   ThreadGuard guard;
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   Rng rng(77);
   const Netlist nl = testutil::random_small_netlist(rng);
   const auto targets = probe_faults(nl);
@@ -256,7 +275,7 @@ TEST_P(BackendP, MatricesIdenticalAcrossThreadCounts) {
 // be zero (consumers like DetectionMatrix::any and popcount-based coverage
 // trust them).
 TEST_P(BackendP, TailMaskingAtLaneBoundaries) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   Rng rng(99);
   const Netlist nl = testutil::random_small_netlist(rng);
   const auto targets = probe_faults(nl);
@@ -284,7 +303,7 @@ TEST_P(BackendP, TailMaskingAtLaneBoundaries) {
 // at awkward tail counts — and the PreparedBatch must be reusable across
 // backends, since the precomputation is width-independent by design.
 TEST_P(BackendP, PreparedMatchesUnprepared) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   Rng rng(55);
   const Netlist nl = testutil::random_small_netlist(rng);
   const auto targets = probe_faults(nl);
@@ -344,7 +363,7 @@ std::vector<TwoPatternTest> partial_tests(std::size_t n_in, std::uint64_t seed,
 // of one, just past one word and just past one avx512 word. One-shot and
 // prepared results must both equal scalar's.
 TEST_P(BackendP, MultiBlockPackingMatchesScalar) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   for (const std::size_t n_in : {1, 63, 64, 65, 130}) {
     const Netlist nl = wide_input_netlist(n_in);
     const auto targets = probe_faults(nl);
@@ -367,7 +386,7 @@ TEST_P(BackendP, MultiBlockPackingMatchesScalar) {
 }
 
 TEST_P(BackendP, RejectsSequentialCircuits) {
-  sim::SimBackend* backend = GetParam();
+  sim::SimBackend* backend = backend_;
   Netlist nl("seq");
   const NodeId a = nl.add_input("a");
   const NodeId ff = nl.add_gate("ff", GateType::Dff, {a});

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "enrich/enrichment.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "runtime/metrics.hpp"
 #include "runtime/thread_pool.hpp"
@@ -40,13 +39,12 @@ TEST(BatchSim, MatchesScalarSimulatorOnRandomTests) {
     // Deliberately not a multiple of 64 to cover the partial last word.
     const auto tests = random_tests(nl, 130, rng);
 
-    FaultSimulator scalar(nl);
     BatchSimulator parallel(nl);
     EXPECT_EQ(parallel.detects_any(tests, ts.p0),
-              testutil::detected_by_any(scalar, tests, ts.p0))
+              testutil::detected_by_any(nl, tests, ts.p0))
         << name;
     EXPECT_EQ(parallel.detects_any(tests, ts.p1),
-              testutil::detected_by_any(scalar, tests, ts.p1))
+              testutil::detected_by_any(nl, tests, ts.p1))
         << name;
   }
 }
@@ -61,17 +59,19 @@ TEST(BatchSim, DetectionMatrixMatchesPerTestScalar) {
 
   Rng rng(9);
   const auto tests = random_tests(nl, 70, rng);
-  FaultSimulator scalar(nl);
   BatchSimulator parallel(nl);
   const DetectionMatrix matrix = parallel.detection_matrix(tests, ts.p0);
   ASSERT_EQ(matrix.fault_count(), ts.p0.size());
   ASSERT_EQ(matrix.test_count(), tests.size());
   ASSERT_EQ(matrix.words_per_row(), 2u);  // 70 tests -> 2 words
-  for (std::size_t f = 0; f < ts.p0.size(); ++f) {
-    for (std::size_t t = 0; t < tests.size(); ++t) {
-      EXPECT_EQ(matrix.bit(f, t), scalar.detects(tests[t], ts.p0[f]))
+  for (std::size_t t = 0; t < tests.size(); ++t) {
+    const std::vector<Triple> values = simulate(nl, tests[t].pi_values);
+    for (std::size_t f = 0; f < ts.p0.size(); ++f) {
+      EXPECT_EQ(matrix.bit(f, t), satisfied(values, ts.p0[f].requirements))
           << "fault " << f << " test " << t;
     }
+  }
+  for (std::size_t f = 0; f < ts.p0.size(); ++f) {
     // Lanes beyond the test count stay clear.
     for (std::size_t lane = 70 - 64; lane < 64; ++lane) {
       EXPECT_EQ((matrix.word(f, 1) >> lane) & 1, 0u);
@@ -88,7 +88,6 @@ TEST(BatchSim, WordLogicMatchesTripleSimExactly) {
     const Netlist nl = testutil::random_small_netlist(rng);
     const auto tests = random_tests(nl, 64, rng);
     BatchSimulator parallel(nl);
-    FaultSimulator scalar(nl);
 
     // One synthetic "fault" per node and interesting triple.
     std::vector<TargetFault> probes;
@@ -100,7 +99,7 @@ TEST(BatchSim, WordLogicMatchesTripleSimExactly) {
       }
     }
     EXPECT_EQ(parallel.detects_any(tests, probes),
-              testutil::detected_by_any(scalar, tests, probes))
+              testutil::detected_by_any(nl, tests, probes))
         << "iter " << iter;
   }
 }

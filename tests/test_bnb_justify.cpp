@@ -3,7 +3,6 @@
 #include "atpg/generator.hpp"
 #include "atpg/justify.hpp"
 #include "enrich/target_sets.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "paths/enumerate.hpp"
 #include "sim/triple_sim.hpp"
@@ -27,8 +26,7 @@ TEST(BnbJustify, SatisfiableWithWitness) {
   const BnbResult r = bnb.branch_and_bound(reqs);
   ASSERT_EQ(r.status, BnbStatus::Satisfiable);
   EXPECT_TRUE(r.test.fully_specified());
-  FaultSimulator fsim(nl);
-  EXPECT_TRUE(fsim.line_values(r.test)[nl.id_of("y")].covers(kRise));
+  EXPECT_TRUE(simulate(nl, r.test.pi_values)[nl.id_of("y")].covers(kRise));
 }
 
 TEST(BnbJustify, ProvesUnsatisfiability) {
@@ -73,7 +71,6 @@ TEST(BnbJustify, ExactOnSmallCircuits) {
     if (nl.inputs().size() > 5) continue;
     ++circuits;
     JustificationEngine bnb(nl, 1);
-    FaultSimulator fsim(nl);
 
     for (int trial = 0; trial < 8; ++trial) {
       std::vector<ValueRequirement> reqs;
@@ -101,7 +98,7 @@ TEST(BnbJustify, ExactOnSmallCircuits) {
       EXPECT_EQ(r.status == BnbStatus::Satisfiable, exists)
           << "circuit " << iter << " trial " << trial;
       if (r.status == BnbStatus::Satisfiable) {
-        const auto values = fsim.line_values(r.test);
+        const auto values = simulate(nl, r.test.pi_values);
         for (const auto& req : reqs) {
           EXPECT_TRUE(values[req.line].covers(req.value));
         }

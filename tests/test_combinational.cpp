@@ -10,16 +10,13 @@ namespace {
 
 TEST(Combinational, S27Extraction) {
   const Netlist seq = parse_bench_string(s27_bench_text(), "s27");
-  const CombinationalCircuit comb = extract_combinational(seq);
-  const Netlist& nl = comb.netlist;
+  const Netlist nl = extract_combinational(seq);
 
   EXPECT_FALSE(nl.has_sequential());
   // 4 real PIs + 3 state inputs.
   EXPECT_EQ(nl.inputs().size(), 7u);
-  EXPECT_EQ(comb.pseudo_inputs.size(), 3u);
   // G17 plus the three DFF data lines G10, G11, G13.
   EXPECT_EQ(nl.outputs().size(), 4u);
-  EXPECT_EQ(comb.pseudo_outputs.size(), 3u);
 
   // The former DFF outputs exist as inputs under their original names.
   for (const char* name : {"G5", "G6", "G7"}) {
@@ -39,11 +36,10 @@ TEST(Combinational, S27Extraction) {
 TEST(Combinational, IdempotentOnCombinationalNetlist) {
   const Netlist nl = parse_bench_string(
       "INPUT(a)\nINPUT(b)\nOUTPUT(z)\nz = AND(a, b)\n");
-  const CombinationalCircuit comb = extract_combinational(nl);
-  EXPECT_EQ(comb.netlist.node_count(), nl.node_count());
-  EXPECT_TRUE(comb.pseudo_inputs.empty());
-  EXPECT_TRUE(comb.pseudo_outputs.empty());
-  EXPECT_EQ(comb.netlist.outputs().size(), 1u);
+  const Netlist comb = extract_combinational(nl);
+  EXPECT_EQ(comb.node_count(), nl.node_count());
+  EXPECT_EQ(comb.inputs().size(), 2u);
+  EXPECT_EQ(comb.outputs().size(), 1u);
 }
 
 TEST(Combinational, DffChainBecomesInputOutputPair) {
@@ -54,10 +50,10 @@ TEST(Combinational, DffChainBecomesInputOutputPair) {
     y = NOT(s1)
     z = AND(a, y)
   )");
-  const CombinationalCircuit comb = extract_combinational(seq);
-  EXPECT_EQ(comb.netlist.inputs().size(), 2u);   // a + s1
-  EXPECT_EQ(comb.netlist.outputs().size(), 2u);  // z + y (data of s1)
-  EXPECT_TRUE(comb.netlist.node(comb.netlist.id_of("y")).is_output);
+  const Netlist comb = extract_combinational(seq);
+  EXPECT_EQ(comb.inputs().size(), 2u);   // a + s1
+  EXPECT_EQ(comb.outputs().size(), 2u);  // z + y (data of s1)
+  EXPECT_TRUE(comb.node(comb.id_of("y")).is_output);
 }
 
 TEST(Combinational, OutputNamingADffIsSkipped) {
@@ -67,11 +63,11 @@ TEST(Combinational, OutputNamingADffIsSkipped) {
     s1 = DFF(y)
     y = NOT(a)
   )");
-  const CombinationalCircuit comb = extract_combinational(seq);
+  const Netlist comb = extract_combinational(seq);
   // The observed state element contributes no combinational output beyond
   // the DFF data tap itself.
-  EXPECT_EQ(comb.netlist.outputs().size(), 1u);
-  EXPECT_TRUE(comb.netlist.node(comb.netlist.id_of("y")).is_output);
+  EXPECT_EQ(comb.outputs().size(), 1u);
+  EXPECT_TRUE(comb.node(comb.id_of("y")).is_output);
 }
 
 TEST(Combinational, RequiresFinalizedInput) {

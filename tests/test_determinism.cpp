@@ -10,7 +10,6 @@
 #include "enrich/enrichment.hpp"
 #include "faultsim/defect_mc.hpp"
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "paths/distance.hpp"
 #include "paths/line_cover.hpp"
@@ -72,11 +71,11 @@ TEST(Determinism, DetectionMatrixIdenticalAcrossThreadCounts) {
     }
   }
 
-  // And all agree with the scalar per-test simulator.
-  FaultSimulator scalar(nl);
-  for (std::size_t f = 0; f < ts.p0.size(); f += 17) {
-    for (std::size_t t = 0; t < tests.size(); t += 13) {
-      EXPECT_EQ(reference.bit(f, t), scalar.detects(tests[t], ts.p0[f]));
+  // And all agree with the scalar per-test simulation.
+  for (std::size_t t = 0; t < tests.size(); t += 13) {
+    const std::vector<Triple> values = simulate(nl, tests[t].pi_values);
+    for (std::size_t f = 0; f < ts.p0.size(); f += 17) {
+      EXPECT_EQ(reference.bit(f, t), satisfied(values, ts.p0[f].requirements));
     }
   }
 }
@@ -166,44 +165,6 @@ TEST(Determinism, PathSelectionIdenticalAcrossThreadCounts) {
     EXPECT_EQ(at1.second[i].path, at8.second[i].path);
     EXPECT_EQ(at1.second[i].length, at8.second[i].length);
   }
-}
-
-TEST(Determinism, SharedFaultSimulatorAcrossPoolWorkers) {
-  // One FaultSimulator instance hammered from every pool worker at once: the
-  // per-worker memo state must keep results identical to a sequential pass.
-  // Run under TSan, this is the race detector for satellite state.
-  PoolGuard guard;
-  const Netlist nl = benchmark_circuit("b03_like");
-  TargetSetConfig cfg;
-  cfg.n_p = 300;
-  cfg.n_p0 = 40;
-  const TargetSets ts = build_target_sets(nl, cfg);
-  ASSERT_FALSE(ts.p0.empty());
-
-  Rng rng(321);
-  const auto tests = random_tests(nl, 96, rng);
-  const FaultSimulator fsim(nl);
-
-  runtime::set_global_threads(1);
-  std::vector<std::uint8_t> seq(tests.size() * ts.p0.size());
-  for (std::size_t t = 0; t < tests.size(); ++t) {
-    for (std::size_t f = 0; f < ts.p0.size(); ++f) {
-      seq[t * ts.p0.size() + f] = fsim.detects(tests[t], ts.p0[f]) ? 1 : 0;
-    }
-  }
-
-  runtime::set_global_threads(8);
-  std::vector<std::uint8_t> par(seq.size());
-  runtime::global_pool().parallel_for(
-      tests.size(), 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t t = b; t < e; ++t) {
-          for (std::size_t f = 0; f < ts.p0.size(); ++f) {
-            par[t * ts.p0.size() + f] =
-                fsim.detects(tests[t], ts.p0[f]) ? 1 : 0;
-          }
-        }
-      });
-  EXPECT_EQ(par, seq);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
-#include "faultsim/fault_sim.hpp"
-
+// Robust fault simulation as requirement checking (§2.1): a test detects a
+// fault iff the simulated line triples satisfy A(p). The scalar path is the
+// compiled simulate() plus satisfied(); whole test sets go through
+// BatchSimulator.
 #include <gtest/gtest.h>
 
 #include "faultsim/batch_sim.hpp"
 #include "gen/registry.hpp"
-#include "sim/triple_sim.hpp"
+#include "oracle/oracle.hpp"
 #include "paths/enumerate.hpp"
+#include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {
@@ -36,6 +39,10 @@ TwoPatternTest make_test(const Netlist& nl,
   return t;
 }
 
+bool detects(const Netlist& nl, const TwoPatternTest& t, const TargetFault& f) {
+  return satisfied(simulate(nl, t.pi_values), f.requirements);
+}
+
 TEST(FaultSim, DetectsPaperExampleFault) {
   const Netlist nl = benchmark_circuit("s27");
   const auto faults = screened_faults(nl);
@@ -49,45 +56,43 @@ TEST(FaultSim, DetectsPaperExampleFault) {
   }
   ASSERT_NE(fault, nullptr);
 
-  FaultSimulator fsim(nl);
   // Satisfying test: G1 rises, G7 steady 0, G2 steady 0 (covers xx0).
   const TwoPatternTest good =
       make_test(nl, {{"G1", kRise}, {"G7", kSteady0}, {"G2", kSteady0}});
-  EXPECT_TRUE(fsim.detects(good, *fault));
-
   // Violating the off-path steady-0 on G7 kills robust detection.
   const TwoPatternTest bad1 =
       make_test(nl, {{"G1", kRise}, {"G7", kRise}, {"G2", kSteady0}});
-  EXPECT_FALSE(fsim.detects(bad1, *fault));
-
   // Wrong source transition direction.
   const TwoPatternTest bad2 =
       make_test(nl, {{"G1", kFall}, {"G7", kSteady0}, {"G2", kSteady0}});
-  EXPECT_FALSE(fsim.detects(bad2, *fault));
-
   // Final value 1 on G2 blocks the NOR output.
   const TwoPatternTest bad3 =
       make_test(nl, {{"G1", kRise}, {"G7", kSteady0}, {"G2", kSteady1}});
-  EXPECT_FALSE(fsim.detects(bad3, *fault));
+  for (const auto& [t, want] : {std::pair{&good, true}, std::pair{&bad1, false},
+                                std::pair{&bad2, false},
+                                std::pair{&bad3, false}}) {
+    EXPECT_EQ(detects(nl, *t, *fault), want) << t->patterns_string();
+    EXPECT_EQ(oracle::detects(nl, *t, fault->fault), want)
+        << t->patterns_string();
+  }
 }
 
 TEST(FaultSim, BatchMatchesSingle) {
   const Netlist nl = benchmark_circuit("s27");
   const auto faults = screened_faults(nl);
-  FaultSimulator fsim(nl);
   const TwoPatternTest t =
       make_test(nl, {{"G1", kRise}, {"G0", kFall}, {"G3", kSteady1}});
-  const auto batch = fsim.detects(t, faults);
-  ASSERT_EQ(batch.size(), faults.size());
+  const DetectionMatrix batch =
+      BatchSimulator(nl).detection_matrix(std::span(&t, 1), faults);
+  ASSERT_EQ(batch.fault_count(), faults.size());
   for (std::size_t i = 0; i < faults.size(); ++i) {
-    EXPECT_EQ(batch[i], fsim.detects(t, faults[i])) << i;
+    EXPECT_EQ(batch.bit(i, 0), detects(nl, t, faults[i])) << i;
   }
 }
 
 TEST(FaultSim, DetectsAnyAccumulatesAcrossTests) {
   const Netlist nl = benchmark_circuit("s27");
   const auto faults = screened_faults(nl);
-  FaultSimulator fsim(nl);
   std::vector<TwoPatternTest> tests = {
       make_test(nl, {{"G1", kRise}, {"G7", kSteady0}, {"G2", kSteady0}}),
       make_test(nl, {{"G2", kRise}, {"G1", kSteady0}, {"G7", kSteady1}}),
@@ -95,8 +100,9 @@ TEST(FaultSim, DetectsAnyAccumulatesAcrossTests) {
   // Whole test sets go through BatchSimulator; its union must be the OR of
   // the per-test answers.
   const auto acc = BatchSimulator(nl).detects_any(tests, faults);
-  const auto d0 = fsim.detects(tests[0], faults);
-  const auto d1 = fsim.detects(tests[1], faults);
+  const std::span<const TwoPatternTest> all = tests;
+  const auto d0 = testutil::detected_by_any(nl, all.first(1), faults);
+  const auto d1 = testutil::detected_by_any(nl, all.last(1), faults);
   std::size_t detected = 0;
   for (std::size_t i = 0; i < faults.size(); ++i) {
     EXPECT_EQ(acc[i], d0[i] || d1[i]);
@@ -105,51 +111,34 @@ TEST(FaultSim, DetectsAnyAccumulatesAcrossTests) {
   EXPECT_GT(detected, 0u);
 }
 
-TEST(FaultSim, IntermediatePlaneIsNormalized) {
-  // A caller may pass PI triples with stale middle components; the simulator
-  // must derive them from the pattern planes.
-  const Netlist nl = benchmark_circuit("s27");
-  const auto faults = screened_faults(nl);
-  FaultSimulator fsim(nl);
-  TwoPatternTest t =
-      make_test(nl, {{"G1", kRise}, {"G7", kSteady0}, {"G2", kSteady0}});
-  // Corrupt middles.
-  for (auto& v : t.pi_values) v.a2 = V3::X;
-  TwoPatternTest clean =
-      make_test(nl, {{"G1", kRise}, {"G7", kSteady0}, {"G2", kSteady0}});
-  EXPECT_EQ(fsim.detects(t, faults), fsim.detects(clean, faults));
-}
-
 TEST(FaultSim, WrongPiCountThrows) {
   const Netlist nl = benchmark_circuit("s27");
-  FaultSimulator fsim(nl);
-  TwoPatternTest t;
-  t.pi_values.assign(3, kSteady0);
-  EXPECT_THROW(fsim.line_values(t), std::invalid_argument);
+  const CompiledCircuit cc(nl);
+  SimScratch scratch;
+  const std::vector<Triple> pis(3, kSteady0);
+  EXPECT_THROW(simulate(cc, pis, scratch), std::invalid_argument);
 }
 
 TEST(FaultSim, RequirementSatisfactionIsExactlyDetection) {
-  // Property: detects(t, f) must equal "every requirement of f is covered by
-  // the simulated line triples" for random binary tests.
+  // Property (§2.1, "necessary and sufficient"): every requirement of A(p)
+  // covered by the simulated line triples iff the definitional oracle finds
+  // the test robustly detects p, for random binary tests.
   const Netlist nl = benchmark_circuit("s27");
   const auto faults = screened_faults(nl);
-  FaultSimulator fsim(nl);
+  const CompiledCircuit cc(nl);
+  SimScratch scratch;
   Rng rng(555);
   for (int trial = 0; trial < 100; ++trial) {
-    TwoPatternTest t;
-    t.pi_values.resize(nl.inputs().size());
-    for (auto& v : t.pi_values) {
-      v = pi_triple(rng.coin() ? V3::One : V3::Zero,
-                    rng.coin() ? V3::One : V3::Zero);
-    }
-    const auto values = fsim.line_values(t);
-    const auto det = fsim.detects(t, faults);
-    for (std::size_t i = 0; i < faults.size(); ++i) {
+    const TwoPatternTest t =
+        testutil::random_two_pattern_test(rng, nl.inputs().size());
+    const auto values = simulate(cc, t.pi_values, scratch);
+    for (const TargetFault& f : faults) {
       bool covered = true;
-      for (const auto& r : faults[i].requirements) {
+      for (const auto& r : f.requirements) {
         covered = covered && values[r.line].covers(r.value);
       }
-      EXPECT_EQ(det[i], covered);
+      EXPECT_EQ(covered, oracle::detects(nl, t, f.fault))
+          << fault_to_string(nl, f.fault) << " under " << t.patterns_string();
     }
   }
 }

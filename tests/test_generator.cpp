@@ -6,7 +6,6 @@
 
 #include "enrich/target_sets.hpp"
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 
 namespace pdf {
@@ -31,10 +30,12 @@ TEST(Generator, EveryTestDetectsAtLeastOneTarget) {
   cfg.heuristic = CompactionHeuristic::Value;
   const GenerationResult r = generate_tests(fx.nl, fx.sets.p0, {}, cfg);
   ASSERT_FALSE(r.tests.empty());
-  FaultSimulator fsim(fx.nl);
-  for (const auto& t : r.tests) {
-    const auto det = fsim.detects(t, fx.sets.p0);
-    EXPECT_NE(std::count(det.begin(), det.end(), true), 0);
+  // Each test detects (at least) the primary target it was generated for.
+  const DetectionMatrix m =
+      BatchSimulator(fx.nl).detection_matrix(r.tests, fx.sets.p0);
+  ASSERT_EQ(r.primary_targets.size(), r.tests.size());
+  for (std::size_t t = 0; t < r.tests.size(); ++t) {
+    EXPECT_TRUE(m.bit(r.primary_targets[t], t)) << t;
   }
 }
 

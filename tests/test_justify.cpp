@@ -5,14 +5,19 @@
 #include "atpg/selection.hpp"
 
 #include "enrich/target_sets.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "oracle/oracle.hpp"
 #include "paths/enumerate.hpp"
+#include "sim/triple_sim.hpp"
 #include "testutil/circuits.hpp"
 
 namespace pdf {
 namespace {
+
+// The robust detection check (§2.1) on the test's simulated line triples.
+bool detects(const Netlist& nl, const TwoPatternTest& t, const TargetFault& f) {
+  return satisfied(simulate(nl, t.pi_values), f.requirements);
+}
 
 std::vector<TargetFault> screened_faults(const Netlist& nl) {
   const LineDelayModel dm(nl);
@@ -29,9 +34,7 @@ TEST(Justify, SatisfiesSimpleRequirements) {
   const auto t = eng.justify(reqs);
   ASSERT_TRUE(t.has_value());
   EXPECT_TRUE(t->fully_specified());
-  FaultSimulator fsim(nl);
-  const auto values = fsim.line_values(*t);
-  EXPECT_TRUE(values[nl.id_of("y")].covers(kRise));
+  EXPECT_TRUE(simulate(nl, t->pi_values)[nl.id_of("y")].covers(kRise));
 }
 
 TEST(Justify, FailsOnUnsatisfiableRequirements) {
@@ -61,13 +64,12 @@ TEST(Justify, FailsWithoutImplicationSeedToo) {
 
 TEST(Justify, GeneratedTestsDetectTheirFaults) {
   // Core invariant: whenever justification succeeds on A(p), the resulting
-  // test robustly detects p according to the fault simulator.
+  // test robustly detects p according to the fault simulation.
   for (const char* name : {"s27", "b03_like", "rca16"}) {
     const Netlist nl = benchmark_circuit(name);
     const auto faults = screened_faults(nl);
     ASSERT_FALSE(faults.empty()) << name;
     JustificationEngine eng(nl, 7);
-    FaultSimulator fsim(nl);
     std::size_t successes = 0;
     const std::size_t limit = std::min<std::size_t>(faults.size(), 60);
     for (std::size_t i = 0; i < limit; ++i) {
@@ -75,7 +77,7 @@ TEST(Justify, GeneratedTestsDetectTheirFaults) {
       if (!t) continue;
       ++successes;
       EXPECT_TRUE(t->fully_specified());
-      EXPECT_TRUE(fsim.detects(*t, faults[i]))
+      EXPECT_TRUE(detects(nl, *t, faults[i]))
           << name << ": " << fault_to_string(nl, faults[i].fault);
     }
     EXPECT_GT(successes, 0u) << name;
@@ -122,18 +124,16 @@ TEST(Justify, JointRequirementsOfCompatibleFaults) {
   const Netlist nl = benchmark_circuit("s27");
   const auto faults = screened_faults(nl);
   JustificationEngine eng(nl, 3);
-  FaultSimulator fsim(nl);
   int verified = 0;
   for (std::size_t i = 0; i < faults.size() && verified < 3; ++i) {
     for (std::size_t j = i + 1; j < faults.size() && verified < 3; ++j) {
-      RequirementSet u;
-      u.add_all(faults[i].requirements);
-      if (u.would_conflict(faults[j].requirements)) continue;
-      if (!u.add_all(faults[j].requirements)) continue;
-      const auto t = eng.justify(u.items());
+      const auto& a = faults[i].requirements;
+      const auto& b = faults[j].requirements;
+      if (oracle::conflicts(a, b)) continue;
+      const auto t = eng.justify(oracle::merge(a, b));
       if (!t) continue;
-      EXPECT_TRUE(fsim.detects(*t, faults[i]));
-      EXPECT_TRUE(fsim.detects(*t, faults[j]));
+      EXPECT_TRUE(detects(nl, *t, faults[i]));
+      EXPECT_TRUE(detects(nl, *t, faults[j]));
       ++verified;
     }
   }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "enrich/enrichment.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "gen/registry.hpp"
 #include "testutil/circuits.hpp"
 
@@ -30,13 +29,12 @@ TEST(PostCompact, CoveragePreservedExactly) {
   EXPECT_LE(pc.tests.size(), fx.gen.tests.size());
   EXPECT_EQ(pc.tests.size() + pc.dropped, fx.gen.tests.size());
 
-  // Checked with the per-test engine: post_compact itself runs on
+  // Checked with the per-test scalar path: post_compact itself runs on
   // BatchSimulator.
-  const FaultSimulator fsim(fx.nl);
-  EXPECT_EQ(testutil::detected_by_any(fsim, pc.tests, fx.sets.p0),
-            testutil::detected_by_any(fsim, fx.gen.tests, fx.sets.p0));
-  EXPECT_EQ(testutil::detected_by_any(fsim, pc.tests, fx.sets.p1),
-            testutil::detected_by_any(fsim, fx.gen.tests, fx.sets.p1));
+  EXPECT_EQ(testutil::detected_by_any(fx.nl, pc.tests, fx.sets.p0),
+            testutil::detected_by_any(fx.nl, fx.gen.tests, fx.sets.p0));
+  EXPECT_EQ(testutil::detected_by_any(fx.nl, pc.tests, fx.sets.p1),
+            testutil::detected_by_any(fx.nl, fx.gen.tests, fx.sets.p1));
 }
 
 TEST(PostCompact, KeptIndicesAscendingAndConsistent) {
@@ -59,13 +57,16 @@ TEST(PostCompact, EveryKeptTestIsEssentialInReverseOrder) {
   Fixture fx("b03_like");
   const PostCompactionResult pc =
       post_compact(fx.nl, fx.gen.tests, fx.sets.p0, fx.sets.p1);
-  FaultSimulator fsim(fx.nl);
-  for (std::size_t i = 0; i < pc.tests.size(); ++i) {
-    std::vector<TwoPatternTest> later(pc.tests.begin() + i + 1, pc.tests.end());
-    const auto with0 = fsim.detects(pc.tests[i], fx.sets.p0);
-    const auto with1 = fsim.detects(pc.tests[i], fx.sets.p1);
-    const auto later0 = testutil::detected_by_any(fsim, later, fx.sets.p0);
-    const auto later1 = testutil::detected_by_any(fsim, later, fx.sets.p1);
+  const std::span<const TwoPatternTest> tests = pc.tests;
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    const auto with0 =
+        testutil::detected_by_any(fx.nl, tests.subspan(i, 1), fx.sets.p0);
+    const auto with1 =
+        testutil::detected_by_any(fx.nl, tests.subspan(i, 1), fx.sets.p1);
+    const auto later0 =
+        testutil::detected_by_any(fx.nl, tests.subspan(i + 1), fx.sets.p0);
+    const auto later1 =
+        testutil::detected_by_any(fx.nl, tests.subspan(i + 1), fx.sets.p1);
     bool essential = false;
     for (std::size_t f = 0; f < with0.size(); ++f) {
       if (with0[f] && !later0[f]) essential = true;

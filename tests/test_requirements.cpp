@@ -121,35 +121,33 @@ TEST(Requirements, StructuralValidation) {
 }
 
 TEST(RequirementSet, AddMergeConflict) {
-  RequirementSet s;
-  EXPECT_TRUE(s.add(5, kFinal1));
-  EXPECT_TRUE(s.add(5, kRise));  // merges: 0x1 covers xx1
-  EXPECT_EQ(s.at(5), kRise);
-  EXPECT_FALSE(s.add(5, kSteady0));  // conflict
-  EXPECT_EQ(s.at(5), kRise);         // unchanged
-  EXPECT_EQ(s.size(), 1u);
-  EXPECT_TRUE(s.add(3, kSteady1));
-  EXPECT_EQ(s.size(), 2u);
-  EXPECT_EQ(s.items()[0].line, 3u);  // kept sorted
-}
+  // The merge-on-add set behind build_requirements. b is the off-path input
+  // of every gate on a -> g1 -> g2 -> g3: the rising transitions into g1
+  // (AND) and g2 (NAND) end non-controlling (b = xx1 twice) and the falling
+  // one into g3 ends controlling. With g3 = AND that asks b = 111, which
+  // merges with xx1; with g3 = OR it asks b = xx0, which conflicts, and the
+  // first value stays.
+  for (const GateType last : {GateType::And, GateType::Or}) {
+    Netlist nl("merge");
+    const NodeId a = nl.add_input("a");
+    const NodeId b = nl.add_input("b");
+    const NodeId g1 = nl.add_gate("g1", GateType::And, {a, b});
+    const NodeId g2 = nl.add_gate("g2", GateType::Nand, {g1, b});
+    const NodeId g3 = nl.add_gate("g3", last, {g2, b});
+    nl.mark_output(g3);
+    nl.finalize();
 
-TEST(RequirementSet, AddAllIsAtomic) {
-  RequirementSet s;
-  s.add(1, kSteady0);
-  const ValueRequirement batch[] = {{2, kRise}, {1, kSteady1}};
-  EXPECT_FALSE(s.add_all(batch));
-  EXPECT_EQ(s.size(), 1u);           // nothing from the failed batch
-  EXPECT_FALSE(s.at(2).has_value());
-}
-
-TEST(RequirementSet, WouldConflict) {
-  RequirementSet s;
-  s.add(7, kSteady0);
-  EXPECT_TRUE(s.would_conflict(7, kFinal1));
-  EXPECT_FALSE(s.would_conflict(7, kFinal0));
-  EXPECT_FALSE(s.would_conflict(8, kSteady1));
-  const ValueRequirement reqs[] = {{8, kRise}, {7, kRise}};
-  EXPECT_TRUE(s.would_conflict(reqs));
+    const PathDelayFault f{Path{{a, g1, g2, g3}}, true, 4};
+    const FaultRequirements r = build_requirements(nl, f);
+    const bool merges = last == GateType::And;
+    EXPECT_EQ(r.conflicting, !merges);
+    EXPECT_EQ(req_on(r, b), merges ? kSteady1 : kFinal1);
+    // One entry per line (a, b, g1, g2, g3), in ascending line order.
+    ASSERT_EQ(r.values.size(), 5u);
+    for (std::size_t i = 0; i + 1 < r.values.size(); ++i) {
+      EXPECT_LT(r.values[i].line, r.values[i + 1].line);
+    }
+  }
 }
 
 TEST(Requirements, ToStringRendering) {

@@ -17,7 +17,6 @@
 #include "faults/requirements.hpp"
 #include "faults/screen.hpp"
 #include "faultsim/batch_sim.hpp"
-#include "faultsim/fault_sim.hpp"
 #include "implication/implication.hpp"
 #include "oracle/oracle.hpp"
 #include "paths/enumerate.hpp"
@@ -754,16 +753,16 @@ std::optional<std::string> check_faultsim(const Netlist& nl, std::uint64_t seed)
   if (targets.empty()) return std::nullopt;
 
   const auto tests = random_tests(nl, mix(seed, 0xf5), 10);
-  // The per-test engine, OR-accumulated over the set, and the whole-set
-  // engine on the host's default backend.
-  const std::vector<bool> scalar =
-      testutil::detected_by_any(FaultSimulator(nl), tests, targets);
+  // The per-test path fault dropping uses (compiled simulation + satisfied),
+  // OR-accumulated over the set, and the whole-set engine on the host's
+  // default backend.
+  const std::vector<bool> scalar = testutil::detected_by_any(nl, tests, targets);
   const BatchSimulator psim(nl);
   const std::vector<bool> batched = psim.detects_any(tests, targets);
   const std::vector<bool> want = oracle::detects_any(nl, tests, kept);
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (scalar[i] != want[i]) {
-      return "faultsim: " + describe_fault(nl, kept[i]) + ": FaultSimulator " +
+      return "faultsim: " + describe_fault(nl, kept[i]) + ": scalar " +
              std::to_string(scalar[i]) + " vs oracle " + std::to_string(want[i]);
     }
     if (batched[i] != want[i]) {
